@@ -510,7 +510,7 @@ BENCHMARK(BM_ServiceRequest_RawFillBaseline);
  * refills. Arg = client count.
  */
 void
-serviceMultiClientBench(benchmark::State &state, bool lock_free)
+BM_ServiceMultiClient(benchmark::State &state)
 {
     size_t nclients = static_cast<size_t>(state.range(0));
     std::vector<std::unique_ptr<CountingTrng>> backends;
@@ -520,8 +520,7 @@ serviceMultiClientBench(benchmark::State &state, bool lock_free)
         pool.push_back(backends.back().get());
     }
     service::EntropyService svc(pool, {.shardCapacityBytes = 1 << 16,
-                                       .refillWatermark = 0.5,
-                                       .lockFreeReads = lock_free});
+                                       .refillWatermark = 0.5});
     std::vector<service::EntropyService::Client> clients;
     for (size_t i = 0; i < nclients; ++i) {
         clients.push_back(svc.connect("c" + std::to_string(i),
@@ -554,21 +553,7 @@ serviceMultiClientBench(benchmark::State &state, bool lock_free)
             static_cast<double>(requests_per_client * request_bytes),
         benchmark::Counter::kIsRate);
 }
-
-void
-BM_ServiceMultiClient(benchmark::State &state)
-{
-    serviceMultiClientBench(state, true);
-}
 BENCHMARK(BM_ServiceMultiClient)->Arg(1)->Arg(4)->Arg(16);
-
-/** The pre-lock-free serving plane, as the contention baseline. */
-void
-BM_ServiceMultiClient_Mutex(benchmark::State &state)
-{
-    serviceMultiClientBench(state, false);
-}
-BENCHMARK(BM_ServiceMultiClient_Mutex)->Arg(1)->Arg(16);
 
 /**
  * Modelled request-latency distribution: timestamped requests whose

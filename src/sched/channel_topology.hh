@@ -42,7 +42,7 @@ struct ChannelTopology
      */
     std::vector<dram::TimingParams> perChannelTiming;
 
-    /** A single-channel topology at @p t (legacy call sites). */
+    /** A single-channel topology at @p t. */
     static ChannelTopology single(
         const dram::TimingParams &t = dram::TimingParams::ddr4(2400));
 

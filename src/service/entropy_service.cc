@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "common/error.hh"
-#include "common/parallel.hh"
 
 namespace quac::service
 {
@@ -76,6 +75,47 @@ cursorPos(uint64_t word)
     return word & kCursorPosMask;
 }
 
+/**
+ * Weight of a shard's recent p95 latency in its placement load score,
+ * in load units per ns: ~1 us of recent tail latency outweighs a
+ * completely drained buffer, so a shard whose clients keep missing to
+ * synchronous fills repels new interactive placements even while its
+ * buffer is momentarily full.
+ */
+constexpr double kPlacementLatencyWeight = 1.0e-3;
+
+/**
+ * Weight of a shard's queued modelled work (busy horizon, see
+ * busyHorizonNs) in its load score, in load units per ns. The windowed
+ * p95 only sees completed requests, so a shard that just absorbed a
+ * burst of misses looks idle to it until those latencies retire; the
+ * horizon term repels placements from work already committed but not
+ * yet visible.
+ */
+constexpr double kPlacementBusyWeight = 1.0e-3;
+
+/**
+ * Decay of the per-shard decayed tail-latency estimate (the admission
+ * gate's congestion memory): max(sample, estimate * decay) per non-bulk
+ * timed request, and one more decay step per admissionTick. The
+ * windowed p99 goes blind when a full top-up clears the recent window;
+ * the decayed max survives that reset. Halving per sample (0.5^4 ~=
+ * 0.06 across a small window) bridges the blind spot, yet a recovered
+ * shard reopens the gate within about one window of good samples.
+ */
+constexpr double kTailDecayPerSample = 0.5;
+
+/**
+ * Health-off synchronous-fill retries after the first throw. Transient
+ * interface faults (a FaultInjectedTrng ReadFailure window) advance the
+ * stream past the fault on every attempt, so a retry can serve the
+ * bytes. Health-on services use the quarantine failover loop instead.
+ */
+constexpr uint32_t kSyncFillRetries = 2;
+
+/** Wall-clock backoff before the first retry; doubles per retry. */
+constexpr std::chrono::microseconds kSyncFillBackoff{50};
+
 } // anonymous namespace
 
 /**
@@ -122,12 +162,6 @@ EntropyService::EntropyService(std::vector<core::Trng *> backends,
     if (cfg_.shardCapacityBytes == 0)
         fatal("shard capacity must be > 0 (for an unbuffered "
               "generator call Trng::fill directly)");
-    if (cfg_.refillThreads == 0)
-        fatal("refill threads must be >= 1 (1 = serial refill)");
-    if (cfg_.placementLatencyWeight < 0.0)
-        fatal("placement latency weight must be >= 0");
-    if (cfg_.placementBusyWeight < 0.0)
-        fatal("placement busy weight must be >= 0");
     if (cfg_.recentLatencyWindow == 0)
         fatal("recent latency window must hold at least one sample");
     if (cfg_.admission.enabled) {
@@ -144,10 +178,6 @@ EntropyService::EntropyService(std::vector<core::Trng *> backends,
         if (cfg_.admission.maxBackoffTicks <
             cfg_.admission.retryBackoffTicks)
             fatal("admission backoff ceiling below the base backoff");
-        if (cfg_.admission.tailDecayPerSample < 0.0 ||
-            cfg_.admission.tailDecayPerSample >= 1.0)
-            fatal("admission tail decay must be in [0, 1) "
-                  "(0 disables the decayed estimate)");
     }
     admissionStats_.enabled = cfg_.admission.enabled;
 
@@ -188,8 +218,7 @@ EntropyService::chunkLocked(Shard &shard)
             // May run the backend's one-time setup
             // (characterization); deferred to first use so
             // construction stays cheap and setup sees the module
-            // state at refill time, exactly as the original
-            // RngService behaved.
+            // state at refill time.
             MutexLock backend_lock(
                 // relaxed: backendIndex only changes under the shard
                 // mutex held here.
@@ -292,9 +321,9 @@ EntropyService::ringTake(Shard &shard, uint8_t *out, size_t len,
 
 size_t
 EntropyService::ringFlushLocked(Shard &shard)
-// relaxed: the mutex held here is what fences producers and resets; the
-// CAS below orders the claim jump.
 {
+    // relaxed: the mutex held here is what fences producers and
+    // resets; the CAS below orders the claim jump.
     uint64_t tail = shard.tail.load(std::memory_order_relaxed);
     uint64_t claim = shard.claim.load(std::memory_order_relaxed);
     // Generations cannot diverge here: resets run under the mutex we
@@ -354,9 +383,9 @@ EntropyService::pullLocked(Shard &shard, size_t want)
     size_t cap = shard.ring.size();
     QUAC_ASSERT(levelOf(shard) + want <= cap,
                 "ring overflow: %zu + %zu > %zu", levelOf(shard),
-                // relaxed: tail is producer-private — only mutex-
-                // holding threads store it, and we hold the mutex.
                 want, cap);
+    // relaxed: tail is producer-private — only mutex-holding threads
+    // store it, and we hold the mutex.
     uint64_t tail = shard.tail.load(std::memory_order_relaxed);
     uint64_t gen = cursorGen(tail);
     uint64_t tail_pos = cursorPos(tail);
@@ -436,9 +465,9 @@ EntropyService::pullLocked(Shard &shard, size_t want)
         // This very pull detected the collapse: the pulled bytes
         // were never published (tail unmoved), everything still
         // buffered from the bank is dropped unserved, and the shard
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
         // moves to a servable bank.
+        // relaxed: monotonic stats counter; readers take snapshots
+        // and need no ordering.
         unhealthyBytesDropped_.fetch_add(
             want + ringFlushLocked(shard),
             std::memory_order_relaxed);
@@ -464,9 +493,9 @@ void
 EntropyService::moveShardLocked(Shard &shard, size_t target)
 {
     QUAC_ASSERT(levelOf(shard) == 0,
-                // relaxed: backendIndex only changes under the shard
-                // mutex held here.
                 "re-sourcing a non-flushed shard");
+    // relaxed: backendIndex only changes under the shard mutex held
+    // here.
     size_t old = shard.backendIndex.load(std::memory_order_relaxed);
     {
         MutexLock lock(sourcingMutex_);
@@ -477,16 +506,17 @@ EntropyService::moveShardLocked(Shard &shard, size_t target)
     shard.backend = backends_[target];
     // Chunk granularity differs per backend; re-resolve lazily (the
     // resize in chunkLocked is safe: the ring is empty).
-    // relaxed: monotonic stats counter(s); readers take snapshots and
-    // need no ordering.
     shard.chunkKnown = false;
+    // relaxed: monotonic stats counter; readers take snapshots and
+    // need no ordering.
     resourcings_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
 EntropyService::resourceShardLocked(Shard &shard)
-// relaxed: backendIndex only changes under the shard mutex held here.
 {
+    // relaxed: backendIndex only changes under the shard mutex held
+    // here.
     size_t old = shard.backendIndex.load(std::memory_order_relaxed);
     size_t best = old;
     size_t best_count = std::numeric_limits<size_t>::max();
@@ -576,9 +606,9 @@ EntropyService::refillShard(Shard &shard)
         return 0;
     size_t added = pullLocked(shard, want);
     if (added == 0)
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
         return 0;
+    // relaxed: monotonic stats counter(s); readers take snapshots and
+    // need no ordering.
     refills_.fetch_add(1, std::memory_order_relaxed);
     bytesRefilled_.fetch_add(added, std::memory_order_relaxed);
     return added;
@@ -587,20 +617,10 @@ EntropyService::refillShard(Shard &shard)
 size_t
 EntropyService::refillBelowWatermark()
 {
-    if (shards_.size() == 1 || cfg_.refillThreads == 1) {
-        size_t added = 0;
-        for (auto &shard : shards_)
-            added += refillShard(*shard);
-        return added;
-    }
-    std::atomic<size_t> added{0};
-    parallelFor(0, shards_.size(), [&](size_t i) {
-        // relaxed: the worker join inside parallelFor publishes the
-        // sum.
-        added.fetch_add(refillShard(*shards_[i]),
-                        std::memory_order_relaxed);
-    }, cfg_.refillThreads);
-    return added.load();
+    size_t added = 0;
+    for (auto &shard : shards_)
+        added += refillShard(*shard);
+    return added;
 }
 
 size_t
@@ -803,8 +823,8 @@ double
 EntropyService::loadOf(const Shard &shard) const
 {
     return deficitFraction(shard) +
-           shard.recent.p95Ns() * cfg_.placementLatencyWeight +
-           busyHorizonNs(shard) * cfg_.placementBusyWeight;
+           shard.recent.p95Ns() * kPlacementLatencyWeight +
+           busyHorizonNs(shard) * kPlacementBusyWeight;
 }
 
 double
@@ -831,8 +851,8 @@ EntropyService::shardLoadSnapshot(size_t shard) const
     snapshot.recentP99Ns = sampled.recent.p99Ns();
     snapshot.load =
         deficitFraction(sampled) +
-        snapshot.recentP95Ns * cfg_.placementLatencyWeight +
-        busyHorizonNs(sampled) * cfg_.placementBusyWeight;
+        snapshot.recentP95Ns * kPlacementLatencyWeight +
+        busyHorizonNs(sampled) * kPlacementBusyWeight;
     return snapshot;
 }
 
@@ -890,9 +910,9 @@ EntropyService::migrateClient(const Client &client, size_t shard)
     Client::State &state = *client.state_;
     if (state.shard.exchange(shard, std::memory_order_acq_rel) ==
         shard)
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
         return false;
+    // relaxed: monotonic stats counter; readers take snapshots and
+    // need no ordering.
     state.migrations.fetch_add(1, std::memory_order_relaxed);
     return true;
 }
@@ -984,17 +1004,15 @@ EntropyService::admissionTick()
     // would otherwise pin the gate shut forever. Each tick is one
     // more decay step, so parked connects' own retry probing is what
     // eventually reopens the gate.
-    double decay = cfg_.admission.tailDecayPerSample;
-    if (decay > 0.0) {
-        // relaxed: decaying a heuristic signal; racing samples may
-        // interleave in any order.
-        for (const std::unique_ptr<Shard> &shard : shards_) {
-            double cur =
-                shard->decayedTailNs.load(std::memory_order_relaxed);
-            while (cur > 0.0 &&
-                   !shard->decayedTailNs.compare_exchange_weak(
-                       cur, cur * decay, std::memory_order_relaxed)) {
-            }
+    // relaxed: decaying a heuristic signal; racing samples may
+    // interleave in any order.
+    for (const std::unique_ptr<Shard> &shard : shards_) {
+        double cur =
+            shard->decayedTailNs.load(std::memory_order_relaxed);
+        while (cur > 0.0 &&
+               !shard->decayedTailNs.compare_exchange_weak(
+                   cur, cur * kTailDecayPerSample,
+                   std::memory_order_relaxed)) {
         }
     }
     bool headroom = admissionHeadroom();
@@ -1141,16 +1159,12 @@ EntropyService::syncFillLegacyLocked(Shard &shard, uint8_t *out,
             return true;
         } catch (const std::exception &) {
             refillFailures_.fetch_add(1, std::memory_order_relaxed);
-            if (attempt >= cfg_.syncFillRetries)
+            if (attempt >= kSyncFillRetries)
                 throw;
         }
         // Backoff outside the backend lock: give an interface fault
-        // time to clear without holding the bank hostage (the cap
-        // bounds the total stall at ~31x the base).
-        if (cfg_.syncFillBackoff.count() > 0) {
-            std::this_thread::sleep_for(cfg_.syncFillBackoff *
-                                        (1u << std::min(attempt, 4u)));
-        }
+        // time to clear without holding the bank hostage.
+        std::this_thread::sleep_for(kSyncFillBackoff * (1u << attempt));
     }
 }
 
@@ -1204,10 +1218,10 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
             // the failure streak crossed the limit. The bytes in
             // @p out were never handed to the client — drop them
             // with the ring and refill wholesale from a new bank.
+            // relaxed: monotonic stats counter; readers take
+            // snapshots and need no ordering. backendIndex is re-read
+            // under the shard mutex held here.
             unhealthyBytesDropped_.fetch_add(
-                // relaxed: monotonic stats counter(s); readers take
-                // snapshots and need no ordering. backendIndex is re-
-                // read under the shard mutex held here.
                 (ok ? need : 0) + ringFlushLocked(shard),
                 std::memory_order_relaxed);
             resourceShardLocked(shard);
@@ -1282,8 +1296,7 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
         // window tracks what a latency-sensitive client experiences.
         if (client.priority != Priority::Bulk) {
             shard.recent.add(result.modeledLatencyNs);
-            double decay = cfg_.admission.tailDecayPerSample;
-            if (cfg_.admission.enabled && decay > 0.0) {
+            if (cfg_.admission.enabled) {
                 // Decaying max: the admission gate's congestion
                 // memory. Survives the recent-window reset a full
                 // top-up performs (CAS because timed requests on the
@@ -1294,7 +1307,8 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
                 double cur = shard.decayedTailNs.load(
                     std::memory_order_relaxed);
                 for (;;) {
-                    double next = std::max(sample, cur * decay);
+                    double next =
+                        std::max(sample, cur * kTailDecayPerSample);
                     if (next == cur ||
                         shard.decayedTailNs.compare_exchange_weak(
                             cur, next, std::memory_order_relaxed))
@@ -1306,10 +1320,8 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
             .add(result.modeledLatencyNs);
     }
 
-// relaxed: per-client accumulators; a concurrent snapshot may tear
-
-// between fields, each field is exact.
-
+    // relaxed: per-client accumulators; a concurrent snapshot may
+    // tear between fields, each field is exact.
     client.requests.fetch_add(1, std::memory_order_relaxed);
     client.bytesFromBuffer.fetch_add(result.bytesFromBuffer,
                                      std::memory_order_relaxed);
@@ -1344,9 +1356,9 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
 
     RequestResult result;
     if (cfg_.maxRequestBytes && len > cfg_.maxRequestBytes) {
+        result.denied = true;
         // relaxed: per-client accumulators; a concurrent snapshot may
         // tear between fields, each field is exact.
-        result.denied = true;
         client.requests.fetch_add(1, std::memory_order_relaxed);
         client.denials.fetch_add(1, std::memory_order_relaxed);
         return result;
@@ -1359,10 +1371,9 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
     // claims are all-or-nothing (a short claim would have to fall
     // through to a sync fill under the mutex anyway); bulk partial
     // claims are final, exactly like the mutex path's backpressure.
-    if (cfg_.lockFreeReads &&
-        (!monitor_ ||
-         shard.seenEpoch.load(std::memory_order_acquire) ==
-             resourceEpoch_.load(std::memory_order_acquire))) {
+    if (!monitor_ ||
+        shard.seenEpoch.load(std::memory_order_acquire) ==
+            resourceEpoch_.load(std::memory_order_acquire)) {
         size_t got = ringTake(shard, out, len,
                               /*all_or_nothing=*/!bulk);
         if (bulk || got == len) {
@@ -1374,9 +1385,9 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
         }
     }
 
-    // Slow path: miss (sync fill), stale epoch, bulk under reset, or
-    // lock-free reads disabled. The mutex serializes against
-    // resourcing, retune, and the refill producer's slow paths.
+    // Slow path: miss (sync fill), stale epoch, or bulk under reset.
+    // The mutex serializes against resourcing, retune, and the refill
+    // producer's slow paths.
     MutexLock lock(shard.mutex);
     revalidateLocked(shard);
 
@@ -1570,9 +1581,9 @@ EntropyService::Client::serveInto(uint8_t *out, size_t len) noexcept
         result.denied = true;
         // The throwing path aborted before finishRequest's
         // bookkeeping; count the request and the denial here so
+        // wire-side and service-side accounting stay reconciled.
         // relaxed: per-client accumulators; a concurrent snapshot may
         // tear between fields, each field is exact.
-        // wire-side and service-side accounting stay reconciled.
         state_->requests.fetch_add(1, std::memory_order_relaxed);
         state_->denials.fetch_add(1, std::memory_order_relaxed);
         return result;

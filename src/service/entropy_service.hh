@@ -11,8 +11,8 @@
  * (bulk) when drained. Refill is decoupled from the request path:
  * refillBelowWatermark()/refillTick() top shards up in whole backend
  * iterations, either unbudgeted, under a channel-time budget from the
- * scheduler-aware RefillScheduler, or continuously from a background
- * thread (startAutoRefill).
+ * scheduler-aware MultiChannelRefillScheduler, or continuously from a
+ * background thread (startAutoRefill).
  *
  * Determinism: each shard drains its backend strictly in stream
  * order (refills and synchronous fills both advance the same
@@ -31,10 +31,9 @@
  * sharded or atomic, so a buffer hit never takes Shard::mutex. Slow
  * paths (miss/sync-fill, re-sourcing, retune/flush, storage resize)
  * keep the mutex and fence lock-free readers out via the cursor
- * generation + the resourceEpoch_ revalidation check.
- * cfg.lockFreeReads = false restores the legacy full-mutex serving
- * path, byte-for-byte identical — the replay tests cross-check the
- * two planes against each other.
+ * generation + the resourceEpoch_ revalidation check. This is the
+ * only serving plane: a hit must not wait behind a refill that holds
+ * the shard mutex for a whole backend fill.
  */
 
 #ifndef QUAC_SERVICE_ENTROPY_SERVICE_HH
@@ -142,22 +141,6 @@ struct AdmissionConfig
      * parked connect keeps probing and is eventually admitted once
      * headroom returns. */
     uint32_t maxBackoffTicks = 16;
-    /**
-     * Decay factor of the per-shard decayed tail-latency estimate
-     * (in [0, 1); 0 disables). The windowed p99 the gate reads goes
-     * blind when a full top-up retires the recent window
-     * (shard.recent.clear()); the decayed estimate — a decaying max
-     * updated as max(sample, estimate * decay) per non-bulk timed
-     * request and decayed once more per admissionTick — survives
-     * the reset, so the gate keeps seeing recent congestion until
-     * it genuinely ages out instead of snapping open on the first
-     * tick after a refill. The default halves the estimate per good
-     * sample (0.5^4 ~= 0.06 across one small window): strong enough
-     * to bridge the top-up blind spot, weak enough that a genuinely
-     * recovered shard reopens the gate within about one window of
-     * good samples.
-     */
-    double tailDecayPerSample = 0.5;
 };
 
 /** Service configuration. */
@@ -180,64 +163,15 @@ struct EntropyServiceConfig
     double panicWatermark = 0.125;
     /** Hard per-request byte cap (0 = unlimited); larger = denied. */
     size_t maxRequestBytes = 0;
-    /**
-     * Worker threads for refillBelowWatermark() across shards
-     * (common/parallel pool); must be >= 1, 1 = serial. Serial
-     * refill keeps shared-backend byte assignment deterministic;
-     * dedicated backends are deterministic either way.
-     */
-    unsigned refillThreads = 1;
     /** Request-latency model parameters (timestamped requests). */
     LatencyModelConfig latency;
     /** Shard choice for auto-placed connect() calls. */
     PlacementPolicy placement = PlacementPolicy::RoundRobin;
     /**
-     * Weight of a shard's recent p95 latency in its load score, in
-     * load units per nanosecond: shardLoad() = deficit fraction
-     * (0..1) + p95_ns * this. The default makes ~1 us of recent tail
-     * latency outweigh a completely drained buffer, so a shard whose
-     * clients are missing to synchronous fills repels new
-     * interactive placements even when its buffer happens to be
-     * momentarily full.
-     */
-    double placementLatencyWeight = 1.0e-3;
-    /**
-     * Weight of a shard's queued modelled work in its load score, in
-     * load units per nanosecond of busy horizon. The horizon is
-     * max(0, busyUntilNs - latest modelled arrival): how far the
-     * shard's backend is booked into the modelled future by
-     * synchronous fills that have not yet drained. The windowed p95
-     * only sees *completed* requests, so a shard that just absorbed
-     * a burst of misses looks idle to it until those latencies
-     * retire; the horizon term repels placements from work that is
-     * already committed but not yet visible. 0 restores the
-     * deficit + p95 score byte-for-byte.
-     */
-    double placementBusyWeight = 1.0e-3;
-    /**
      * Per-shard recent-latency window size (samples) feeding
      * shardRecentPercentileNs() and the load score.
      */
     size_t recentLatencyWindow = 128;
-    /**
-     * Legacy (health-off) synchronous-fill retry budget: a backend
-     * exception on the miss path is caught, counted
-     * (HealthStats::refillFailures) and the fill retried up to this
-     * many more times — with a bounded exponential backoff between
-     * attempts — before the last error surfaces to the caller.
-     * Transient interface faults (a FaultInjectedTrng ReadFailure
-     * window) advance the stream past the fault on every attempt, so
-     * a retry genuinely can serve the bytes. 0 restores the
-     * surface-immediately behaviour. Health-on services use the
-     * quarantine failover loop instead and ignore this.
-     */
-    uint32_t syncFillRetries = 2;
-    /**
-     * Base wall-clock backoff between legacy sync-fill retries;
-     * doubles per attempt, capped at 16x the base. Zero disables the
-     * sleep (tests).
-     */
-    std::chrono::microseconds syncFillBackoff{50};
     /** SLO-aware admission control on bulk connects (admit()). */
     AdmissionConfig admission;
     /**
@@ -250,14 +184,6 @@ struct EntropyServiceConfig
      * monitoring-off run (the standing replay invariant).
      */
     HealthConfig health;
-    /**
-     * Serve buffered reads lock-free (SPMC claim on the shard ring's
-     * atomic cursors, no shard mutex on the hit path). false
-     * restores the legacy full-mutex request path — the served byte
-     * streams are identical either way; the replay tests flip this
-     * to cross-check the lock-free plane against the mutex plane.
-     */
-    bool lockFreeReads = true;
 };
 
 /** Outcome of one client request. */
@@ -513,8 +439,9 @@ class EntropyService
     /**
      * Placement load score of @p shard: buffered-bytes deficit as a
      * fraction of capacity (0 = full, 1 = drained) plus the shard's
-     * recent p95 request latency weighted by
-     * cfg.placementLatencyWeight. Lower is better.
+     * recent p95 request latency and its queued modelled work, each
+     * weighted 1e-3 per ns (so ~1 us of either outweighs a drained
+     * buffer). Lower is better.
      */
     double shardLoad(size_t shard) const;
 
@@ -532,9 +459,10 @@ class EntropyService
     }
 
     /**
-     * The shard's decayed tail-latency estimate (see
-     * AdmissionConfig::tailDecayPerSample). Maintained only while
-     * admission is enabled with a nonzero decay; 0 otherwise.
+     * The shard's decayed tail-latency estimate: a max over the
+     * non-bulk modelled latencies that halves per later sample and
+     * per admissionTick(). Maintained only while admission is
+     * enabled; 0 otherwise.
      */
     double shardDecayedTailNs(size_t shard) const;
 
@@ -595,8 +523,7 @@ class EntropyService
     /**
      * Top up every shard at or below the watermark to capacity in
      * whole backend chunks (a shard may transiently exceed capacity
-     * by less than one chunk). Runs shards through the worker pool
-     * when cfg.refillThreads != 1.
+     * by less than one chunk), serially in shard order.
      * @return bytes added across all shards.
      */
     size_t refillBelowWatermark();
@@ -717,8 +644,8 @@ class EntropyService
      * holds capacity + one chunk of headroom so refills can pull
      * whole backend iterations without discarding entropy; it is
      * sized on the first chunk query (chunkLocked), because asking
-     * the backend for its granularity may run its one-time setup and
-     * must stay as lazy as the original RngService kept it.
+     * the backend for its granularity may run its one-time setup,
+     * which must not happen at construction.
      *
      * The ring is addressed by monotonic byte positions packed into
      * three atomic cursors (16-bit storage generation | 48-bit
@@ -738,9 +665,8 @@ class EntropyService
      * when the storage itself is replaced (ringResetLocked); an
      * in-flight CAS from the old generation then fails and the
      * reader falls back to the mutex path. The mutex still guards
-     * every slow path: refill, sync-fill, re-sourcing, retune/flush,
-     * chunk resolution, and the legacy full-mutex serving mode
-     * (cfg.lockFreeReads = false).
+     * every slow path: refill, sync-fill, re-sourcing, retune/flush
+     * and chunk resolution.
      */
     struct Shard
     {
@@ -789,8 +715,7 @@ class EntropyService
          * Decaying max of the non-bulk modelled latencies — the
          * admission gate's congestion memory. Unlike `recent`, it is
          * never cleared by a full top-up; it only ages out through
-         * per-sample and per-admissionTick decay
-         * (AdmissionConfig::tailDecayPerSample).
+         * per-sample and per-admissionTick decay.
          */
         std::atomic<double> decayedTailNs{0.0};
         /**
@@ -881,15 +806,15 @@ class EntropyService
      * false when no servable bank could produce the bytes (the
      * request is denied). Without health monitoring a backend
      * exception is retried (syncFillLegacyLocked) and then
-     * propagates to the caller as before.
+     * propagates to the caller.
      */
     bool syncFillLocked(Shard &shard, uint8_t *out, size_t need)
         QUAC_REQUIRES(shard.mutex);
 
     /**
      * The health-off miss path: catch backend exceptions, count
-     * them, retry up to cfg.syncFillRetries times with bounded
-     * exponential backoff, then surface the last error.
+     * them, retry twice with bounded exponential backoff, then
+     * surface the last error.
      */
     bool syncFillLegacyLocked(Shard &shard, uint8_t *out,
                               size_t need)
@@ -926,10 +851,10 @@ class EntropyService
                             size_t len, double arrival_ns);
 
     /**
-     * Shared request epilogue for the lock-free and mutex serve
-     * paths: the unhealthy-serve tripwire, the modelled-latency
-     * bookkeeping (timed requests), and the per-client stat
-     * accumulators. Takes no lock.
+     * Shared request epilogue for the lock-free hit path and the
+     * mutex slow path: the unhealthy-serve tripwire, the
+     * modelled-latency bookkeeping (timed requests), and the
+     * per-client stat accumulators. Takes no lock.
      */
     RequestResult finishRequest(Client::State &client, Shard &shard,
                                 RequestResult result,

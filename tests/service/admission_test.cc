@@ -35,7 +35,6 @@ admissionConfig()
     cfg.shardCapacityBytes = 1024;
     cfg.refillWatermark = 1.0;
     cfg.recentLatencyWindow = 4;
-    cfg.syncFillBackoff = std::chrono::microseconds(0);
     cfg.admission.enabled = true;
     cfg.admission.interactiveSloNs = 400.0;
     cfg.admission.headroomFraction = 0.5;
@@ -271,25 +270,6 @@ TEST(Admission, DecayedTailSurvivesFullTopUp)
     EXPECT_LT(svc.shardDecayedTailNs(0), 200.0);
 }
 
-TEST(Admission, ZeroDecayRestoresWindowOnlyGate)
-{
-    core::SoftwareTrng backend(10);
-    EntropyServiceConfig cfg = admissionConfig();
-    cfg.admission.tailDecayPerSample = 0.0;
-    EntropyService svc({&backend}, cfg);
-    EntropyService::Client probe =
-        svc.connect("probe", Priority::Interactive, 0);
-    inflateTail(svc, probe, 4);
-    ASSERT_FALSE(svc.admissionHeadroom());
-    EXPECT_DOUBLE_EQ(svc.shardDecayedTailNs(0), 0.0);
-
-    // Legacy behaviour: the top-up alone reopens the gate.
-    svc.refillBelowWatermark();
-    EXPECT_TRUE(svc.admissionHeadroom());
-    EXPECT_EQ(svc.admit("bulk", Priority::Bulk).decision,
-              AdmissionDecision::Admitted);
-}
-
 TEST(Admission, ConfigValidatedThroughServiceCtor)
 {
     core::SoftwareTrng backend(8);
@@ -311,14 +291,6 @@ TEST(Admission, ConfigValidatedThroughServiceCtor)
 
     cfg = admissionConfig();
     cfg.admission.maxBackoffTicks = 0; // < retryBackoffTicks
-    EXPECT_THROW(EntropyService({&backend}, cfg), FatalError);
-
-    cfg = admissionConfig();
-    cfg.admission.tailDecayPerSample = 1.0; // must be < 1
-    EXPECT_THROW(EntropyService({&backend}, cfg), FatalError);
-
-    cfg = admissionConfig();
-    cfg.admission.tailDecayPerSample = -0.1;
     EXPECT_THROW(EntropyService({&backend}, cfg), FatalError);
 
     // The same nonsense with the gate disabled is accepted (knobs

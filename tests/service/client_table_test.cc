@@ -37,7 +37,6 @@ gatedConfig()
     EntropyServiceConfig cfg = plainConfig();
     cfg.shardCapacityBytes = 1024;
     cfg.recentLatencyWindow = 4;
-    cfg.syncFillBackoff = std::chrono::microseconds(0);
     cfg.admission.enabled = true;
     cfg.admission.interactiveSloNs = 400.0;
     cfg.admission.headroomFraction = 0.5;

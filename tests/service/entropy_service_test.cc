@@ -409,6 +409,100 @@ TEST(EntropyService, SharedBackendShardsStayRaceFreeAndLossless)
     EXPECT_EQ(seen, expected);
 }
 
+TEST(EntropyService, WatermarkControlsRefill)
+{
+    // One shard, no chunk granularity: the top-up is exactly the
+    // deficit, and nothing is pulled while the level sits above the
+    // watermark.
+    TaggedTrng backend(12);
+    EntropyService service({&backend}, {.shardCapacityBytes = 100,
+                                        .refillWatermark = 0.25});
+    EXPECT_EQ(service.refillBelowWatermark(), 100u);
+    auto client = service.connect("c");
+    uint8_t buf[60];
+    client.request(buf, 60); // level 40 > 25: no refill yet
+    EXPECT_EQ(service.refillBelowWatermark(), 0u);
+    client.request(buf, 20); // level 20 <= 25: refill
+    EXPECT_EQ(service.refillBelowWatermark(), 80u);
+    EXPECT_EQ(service.level(0), 100u);
+}
+
+/** TaggedTrng that counts preferredChunkBytes() queries. */
+class ChunkProbeTrng : public TaggedTrng
+{
+  public:
+    ChunkProbeTrng() : TaggedTrng(13, 16) {}
+
+    size_t
+    preferredChunkBytes() override
+    {
+        ++chunkQueries_;
+        return TaggedTrng::preferredChunkBytes();
+    }
+
+    uint64_t chunkQueries() const { return chunkQueries_; }
+
+  private:
+    uint64_t chunkQueries_ = 0;
+};
+
+TEST(EntropyService, ChunkQueryDeferredToFirstRefill)
+{
+    // preferredChunkBytes may run the generator's one-time
+    // characterization (QuacTrng::setup). Neither construction nor
+    // a synchronous miss may trigger it, so callers can still adjust
+    // module state up to the first refill.
+    ChunkProbeTrng backend;
+    EntropyService service({&backend}, {.shardCapacityBytes = 64});
+    EXPECT_EQ(backend.chunkQueries(), 0u);
+    auto client = service.connect("c");
+    uint8_t buf[8];
+    client.request(buf, 8); // synchronous miss
+    EXPECT_EQ(backend.chunkQueries(), 0u);
+    service.refillBelowWatermark();
+    EXPECT_GT(backend.chunkQueries(), 0u);
+}
+
+TEST(EntropyService, RefillPullsWholeIterations)
+{
+    TaggedTrng backend(14, 48);
+    EntropyService service({&backend}, {.shardCapacityBytes = 100,
+                                        .refillWatermark = 0.5});
+    // 100 wanted -> rounded up to 3 whole 48-byte iterations.
+    EXPECT_EQ(service.refillBelowWatermark(), 144u);
+    EXPECT_EQ(service.level(0), 144u);
+    // Above the watermark: no further refill, no fractional top-up.
+    EXPECT_EQ(service.refillBelowWatermark(), 0u);
+
+    // The whole over-capacity level is servable and nothing was
+    // discarded from the stream.
+    auto client = service.connect("c");
+    std::vector<uint8_t> bytes = client.request(144);
+    EXPECT_EQ(client.stats().bufferHits, 1u);
+    expectStreamContinuity(bytes, 14);
+}
+
+TEST(EntropyService, StreamIdenticalToUnbufferedSource)
+{
+    // Top-ups interleaved with requests: buffering must not reorder
+    // or drop generator output.
+    TaggedTrng buffered(15);
+    TaggedTrng direct(15);
+    EntropyService service({&buffered}, {.shardCapacityBytes = 128,
+                                         .refillWatermark = 0.5});
+    auto client = service.connect("c");
+    std::vector<uint8_t> via_service;
+    for (int i = 0; i < 10; ++i) {
+        service.refillBelowWatermark();
+        std::vector<uint8_t> chunk = client.request(37);
+        via_service.insert(via_service.end(), chunk.begin(),
+                           chunk.end());
+    }
+    std::vector<uint8_t> unbuffered(via_service.size());
+    direct.fill(unbuffered.data(), unbuffered.size());
+    EXPECT_EQ(via_service, unbuffered);
+}
+
 TEST(EntropyService, RejectsBadConfig)
 {
     TaggedTrng backend(1);
@@ -422,14 +516,6 @@ TEST(EntropyService, RejectsBadConfig)
     EXPECT_THROW(EntropyService({&backend}, {.shardCapacityBytes = 0}),
                  FatalError)
         << "zero-capacity shards have no buffer to serve from";
-    EXPECT_THROW(EntropyService({&backend}, {.shardCapacityBytes = 16,
-                                             .refillThreads = 0}),
-                 FatalError)
-        << "refill worker count must be explicit, >= 1";
-    EXPECT_THROW(
-        EntropyService({&backend}, {.shardCapacityBytes = 16,
-                                    .placementLatencyWeight = -1.0}),
-        FatalError);
     EXPECT_THROW(
         EntropyService({&backend}, {.shardCapacityBytes = 16,
                                     .recentLatencyWindow = 0}),

@@ -480,9 +480,7 @@ TEST(ServiceHealth, SyncFillRetryServesThroughTransientFault)
     core::SoftwareTrng inner(46);
     core::FaultInjectedTrng bank0(
         inner, core::FaultSpec::parse("0:fail:0:64"));
-    EntropyServiceConfig cfg = testServiceConfig(1, false);
-    cfg.syncFillBackoff = std::chrono::microseconds(0);
-    EntropyService svc({&bank0}, cfg);
+    EntropyService svc({&bank0}, testServiceConfig(1, false));
 
     EntropyService::Client client =
         svc.connect("c", Priority::Standard, 0);
@@ -505,10 +503,7 @@ TEST(ServiceHealth, SyncFillRetriesExhaustOnPersistentFault)
     core::SoftwareTrng inner(47);
     core::FaultInjectedTrng bank0(
         inner, core::FaultSpec::parse("0:fail:0:0"));
-    EntropyServiceConfig cfg = testServiceConfig(1, false);
-    cfg.syncFillRetries = 2;
-    cfg.syncFillBackoff = std::chrono::microseconds(0);
-    EntropyService svc({&bank0}, cfg);
+    EntropyService svc({&bank0}, testServiceConfig(1, false));
 
     EntropyService::Client client =
         svc.connect("c", Priority::Standard, 0);
@@ -517,23 +512,6 @@ TEST(ServiceHealth, SyncFillRetriesExhaustOnPersistentFault)
                  core::TransientReadError);
     EXPECT_EQ(svc.healthStats().refillFailures, 3u)
         << "initial attempt + 2 retries";
-}
-
-TEST(ServiceHealth, SyncFillRetryDisabledSurfacesImmediately)
-{
-    core::SoftwareTrng inner(48);
-    core::FaultInjectedTrng bank0(
-        inner, core::FaultSpec::parse("0:fail:0:64"));
-    EntropyServiceConfig cfg = testServiceConfig(1, false);
-    cfg.syncFillRetries = 0;
-    EntropyService svc({&bank0}, cfg);
-
-    EntropyService::Client client =
-        svc.connect("c", Priority::Standard, 0);
-    std::vector<uint8_t> out(32);
-    EXPECT_THROW(client.request(out.data(), out.size()),
-                 core::TransientReadError);
-    EXPECT_EQ(svc.healthStats().refillFailures, 1u);
 }
 
 // ------------------------------- migration vs. quarantine racing

@@ -1,7 +1,7 @@
 /**
  * @file
- * Lock-free request data plane tests: the per-shard SHA replay
- * invariant across the mutex and lock-free serving planes, and
+ * Lock-free request data plane tests: a serial schedule through every
+ * serve path checked byte by byte against a reference model, and
  * thread-sanitizer hammer tests driving N consumers against the SPMC
  * ring's producer, client migration, and quarantine re-sourcing. The
  * hammers run under the regular build too (the invariant checks are
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "core/fault_injection.hh"
-#include "crypto/sha256.hh"
 #include "service/entropy_service.hh"
 
 namespace quac::service
@@ -31,7 +30,8 @@ namespace
  * tag and stream position: byte k = tag + 151 * k. Any contiguous
  * slice of any tag's stream steps by 151 between neighbouring bytes,
  * so per-request stream contiguity is checkable without knowing
- * which backend (or stream offset) served the request.
+ * which backend (or stream offset) served the request. 151 is odd,
+ * so a byte also pins its position k modulo 256.
  */
 class TaggedTrng : public core::Trng
 {
@@ -54,6 +54,13 @@ class TaggedTrng : public core::Trng
 
     size_t preferredChunkBytes() override { return chunk_; }
 
+    /** Byte at stream position @p k of tag @p tag. */
+    static uint8_t
+    expected(uint8_t tag, uint64_t k)
+    {
+        return static_cast<uint8_t>(tag + 151 * k);
+    }
+
   private:
     uint8_t tag_;
     size_t chunk_;
@@ -72,69 +79,89 @@ isStreamContiguous(const uint8_t *bytes, size_t len)
 }
 
 /**
- * One deterministic serial schedule over both serving planes: mixed
- * classes and request sizes (hits, bulk partials, misses), refills,
- * a migration and a retune flush. Returns the SHA-256 over every
- * client's served bytes in schedule order — the per-shard streams
- * are identical iff this digest is.
+ * One serial schedule through every serve path (hits, a bulk partial,
+ * misses, a migration and a retune flush), checked against a
+ * reference model that only tracks the next stream position each
+ * shard must serve. Shard s drains backend s (tag 10 * (s + 1)); the
+ * levels and counts in the comments are worked out by hand.
  */
-std::string
-scheduleDigest(bool lock_free)
+TEST(LockFreeRing, ServedStreamsMatchReferenceModel)
 {
     TaggedTrng b0(10, 64);
     TaggedTrng b1(20, 64);
+    const uint8_t tags[2] = {10, 20};
     EntropyServiceConfig cfg;
     cfg.shards = 2;
     cfg.shardCapacityBytes = 256;
-    cfg.lockFreeReads = lock_free;
     EntropyService svc({&b0, &b1}, cfg);
 
     EntropyService::Client i0 =
         svc.connect("i0", Priority::Interactive, 0);
-    EntropyService::Client s0 = svc.connect("s0", Priority::Standard, 0);
+    EntropyService::Client s0 =
+        svc.connect("s0", Priority::Standard, 0);
     EntropyService::Client k0 = svc.connect("k0", Priority::Bulk, 0);
-    EntropyService::Client s1 = svc.connect("s1", Priority::Standard, 1);
+    EntropyService::Client s1 =
+        svc.connect("s1", Priority::Standard, 1);
     EntropyService::Client k1 = svc.connect("k1", Priority::Bulk, 1);
 
-    Sha256 sha;
+    uint64_t next[2] = {0, 0};
     std::vector<uint8_t> buf(2048);
-    auto absorb = [&](EntropyService::Client &client, size_t len) {
+    auto serve = [&](EntropyService::Client &client, size_t len,
+                     size_t want_bytes, bool want_hit) {
+        size_t shard = client.shard();
         RequestResult res = client.request(buf.data(), len);
-        sha.update(buf.data(), res.bytes);
-        uint8_t meta[2] = {static_cast<uint8_t>(res.hit),
-                           static_cast<uint8_t>(res.denied)};
-        sha.update(meta, sizeof(meta));
+        EXPECT_EQ(res.bytes, want_bytes) << client.name();
+        EXPECT_EQ(res.hit, want_hit) << client.name();
+        EXPECT_FALSE(res.denied) << client.name();
+        for (size_t i = 0; i < res.bytes; ++i) {
+            uint64_t pos = next[shard] + i;
+            ASSERT_EQ(buf[i], TaggedTrng::expected(tags[shard], pos))
+                << client.name() << " byte " << i;
+        }
+        next[shard] += res.bytes;
     };
 
+    // Both shards buffer positions [0, 256). Refills pull whole 64 B
+    // chunks once a shard holds 128 bytes or fewer.
     svc.refillBelowWatermark();
-    absorb(i0, 64);        // hit
-    absorb(k0, 512);       // bulk partial (more than buffered)
-    absorb(s0, 300);       // miss -> sync fill
-    absorb(s1, 96);
-    absorb(k1, 32);
-    svc.migrateClient(s0, 1); // s0 now drains shard 1's stream
-    absorb(s0, 64);
+    // Shard 0: a hit leaves 192 buffered, a bulk request drains them
+    // (partial), then a miss sync-fills positions [256, 556).
+    serve(i0, 64, 64, true);
+    serve(k0, 512, 192, false);
+    serve(s0, 300, 300, false);
+    // Shard 1 drops to 128, then to 64 after s0 migrates onto it.
+    serve(s1, 96, 96, true);
+    serve(k1, 32, 32, true);
+    svc.migrateClient(s0, 1);
+    serve(s0, 64, 64, true);
+    // Shard 0 buffers [556, 812), shard 1 tops up by 192 to [192, 448).
     svc.refillBelowWatermark();
-    absorb(i0, 128);
-    svc.retuneBackend(0, [] { return true; }); // flush shard 0
-    absorb(i0, 48);        // post-flush miss
+    serve(i0, 128, 128, true);
+    // The retune drops shard 0's buffered [684, 812) unserved: the
+    // stream's one gap.
+    size_t dropped = svc.retuneBackend(0, [] { return true; });
+    EXPECT_EQ(dropped, 128u);
+    next[0] += dropped;
+    // A miss sync-fills [812, 860); the refill buffers [860, 1116)
+    // and leaves the full shard 1 alone.
+    serve(i0, 48, 48, false);
     svc.refillBelowWatermark();
-    absorb(k0, 200);
-    absorb(s1, 17);
-    absorb(i0, 1);
+    serve(k0, 200, 200, true);
+    serve(s1, 17, 17, true);
+    serve(i0, 1, 1, true);
 
-    // The aggregate counters ride the same plane-independence
-    // contract; fold them into the digest too.
-    uint64_t counters[4] = {svc.requestsServed(), svc.bufferHits(),
-                            svc.synchronousFills(), svc.denials()};
-    sha.update(reinterpret_cast<const uint8_t *>(counters),
-               sizeof(counters));
-    return Sha256::hex(sha.finish());
-}
-
-TEST(LockFreeRing, MutexAndLockFreePlanesServeIdenticalStreams)
-{
-    EXPECT_EQ(scheduleDigest(true), scheduleDigest(false));
+    EXPECT_EQ(next[0], 1061u);
+    EXPECT_EQ(next[1], 209u);
+    EXPECT_EQ(svc.level(0), 1116u - 1061u);
+    EXPECT_EQ(svc.level(1), 448u - 209u);
+    EXPECT_EQ(svc.suspectBytesDropped(), 128u);
+    EXPECT_EQ(svc.requestsServed(), 11u);
+    EXPECT_EQ(svc.bufferHits(), 8u);
+    EXPECT_EQ(svc.synchronousFills(), 2u);
+    EXPECT_EQ(k0.stats().partialServes, 1u);
+    EXPECT_EQ(svc.denials(), 0u);
+    EXPECT_EQ(svc.refills(), 5u);
+    EXPECT_EQ(svc.bytesRefilled(), 2u * 256u + 256u + 192u + 256u);
 }
 
 TEST(LockFreeRing, HammerConsumersProducerAndMigration)

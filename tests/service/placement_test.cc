@@ -160,67 +160,49 @@ TEST(Placement, LoadScoreIncludesQueuedWorkHorizon)
     EXPECT_DOUBLE_EQ(service.shardLoad(0), service.shardLoad(1));
 }
 
-TEST(Placement, BusyWeightZeroDisablesTheHorizonTerm)
+TEST(Placement, UntimedRequestsNeverMoveTheBusyHorizon)
 {
+    // Only timestamped requests advance the modelled clock, so an
+    // untimed workload (synchronous misses included) leaves both the
+    // latency window and the queued-work horizon at zero: the load
+    // score is the buffer deficit alone. This is what keeps untimed
+    // campaigns byte-reproducible under least-loaded placement.
     TaggedTrng b0(10, 64);
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
-    cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
-    cfg.placementBusyWeight = 0.0;
+    cfg.shardCapacityBytes = 256;
+    cfg.placement = PlacementPolicy::LeastLoaded;
     EntropyService service({&b0, &b1}, cfg);
-
-    // Same backlog as above, yet the scores stay a dead heat and
-    // ties break to the lowest index, exactly as before the term
-    // existed.
-    auto victim = service.connect("victim", Priority::Standard, 0);
-    uint8_t out[512];
-    for (int i = 0; i < 4; ++i)
-        victim.requestAt(out, sizeof(out), 0.0);
     service.refillBelowWatermark();
-    EXPECT_DOUBLE_EQ(service.shardLoad(0), service.shardLoad(1));
-    EXPECT_EQ(service.leastLoadedShard(), 0u);
 
-    EntropyServiceConfig bad = cfg;
-    bad.placementBusyWeight = -1.0;
-    EXPECT_THROW(EntropyService({&b0, &b1}, bad), FatalError);
-}
-
-TEST(Placement, UntimedWorkloadsAreByteIdenticalAcrossBusyWeight)
-{
-    // Untimed requests never advance the modelled clock, so the
-    // horizon term must contribute exactly zero: the same workload
-    // replayed under the default weight and under weight 0 has to
-    // produce identical placements and identical byte streams (this
-    // is what keeps the recorded fig12 campaigns reproducible).
-    auto run = [](double weight) {
-        TaggedTrng b0(10, 64);
-        TaggedTrng b1(20, 64);
-        EntropyServiceConfig cfg;
-        cfg.shardCapacityBytes = 256;
-        cfg.placement = PlacementPolicy::LeastLoaded;
-        cfg.placementBusyWeight = weight;
-        EntropyService service({&b0, &b1}, cfg);
-        service.refillBelowWatermark();
-
-        std::vector<uint8_t> bytes;
-        auto append = [&bytes](std::vector<uint8_t> got) {
-            bytes.insert(bytes.end(), got.begin(), got.end());
-        };
-        auto first = service.connect("first", Priority::Interactive);
-        bytes.push_back(static_cast<uint8_t>(first.shard()));
-        append(first.request(96));
-        auto drain =
-            service.connect("drain", Priority::Bulk, first.shard());
-        append(drain.request(128));
-        auto second =
-            service.connect("second", Priority::Interactive);
-        bytes.push_back(static_cast<uint8_t>(second.shard()));
-        append(second.request(64));
-        append(first.request(32));
-        return bytes;
+    auto expectDeficitOnly = [&service] {
+        for (size_t s = 0; s < service.shardCount(); ++s) {
+            double cap = static_cast<double>(service.shardCapacity());
+            double level = static_cast<double>(service.level(s));
+            EXPECT_DOUBLE_EQ(service.shardRecentP95Ns(s), 0.0) << s;
+            EXPECT_DOUBLE_EQ(service.shardLoad(s), (cap - level) / cap)
+                << s;
+        }
     };
-    EXPECT_EQ(run(1.0e-3), run(0.0));
+
+    // Equal (full) levels: a dead heat breaks to the lowest index.
+    auto first = service.connect("first", Priority::Interactive);
+    EXPECT_EQ(first.shard(), 0u);
+    expectStream(first.request(96), 10, 0); // hit
+    auto drain = service.connect("drain", Priority::Bulk, 0);
+    EXPECT_EQ(drain.request(512).size(), 160u); // bulk partial
+    expectDeficitOnly();
+
+    // Shard 0 is drained: these are synchronous fills, which would
+    // book backend time if they were timed.
+    expectStream(first.request(300), 10, 256);
+    expectStream(first.request(32), 10, 556);
+    expectDeficitOnly();
+
+    auto second = service.connect("second", Priority::Interactive);
+    EXPECT_EQ(second.shard(), 1u) << "placed by buffer deficit alone";
+    expectStream(second.request(64), 20, 0);
+    expectDeficitOnly();
 }
 
 TEST(Placement, FullRefillRetiresStaleLatencyTail)

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the scheduler-aware refill loop: fairness-policy
- * accounting against ChannelSim, budget consistency with the
- * BusScheduler-derived iteration cost, and end-to-end refill of a
- * drained service.
+ * Tests for the scheduler-aware refill loop on one channel: the
+ * fcfs, rng-priority and buffered-fair policies' accounting against
+ * ChannelSim, budget consistency with the BusScheduler-derived
+ * iteration cost, and end-to-end refill of a drained service.
  */
 
 #include <gtest/gtest.h>
@@ -42,10 +42,12 @@ class CountingTrng : public core::Trng
     uint64_t counter_ = 0;
 };
 
-RefillSchedulerConfig
+/** A one-channel (DDR4-2400) refill loop under @p policy. */
+MultiChannelRefillConfig
 schedulerConfig(sysperf::FairnessPolicy policy)
 {
-    RefillSchedulerConfig cfg;
+    MultiChannelRefillConfig cfg;
+    cfg.topology = sched::ChannelTopology::single();
     cfg.policy = policy;
     cfg.tickNs = 1.0e5;
     cfg.seed = 17;
@@ -67,11 +69,14 @@ struct Harness
     }
 };
 
-TEST(RefillScheduler, IterationCostComesFromBusScheduler)
+const sysperf::WorkloadProfile kIdle{"idle", 0.0, 100.0};
+const sysperf::WorkloadProfile kLbm{"lbm-like", 0.65, 160.0};
+
+TEST(SingleChannelRefill, IterationCostComesFromBusScheduler)
 {
     Harness harness(1 << 12);
-    RefillScheduler scheduler(
-        harness.service, {"idle", 0.0, 100.0},
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {kIdle},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
     const sched::RefillCost &cost = scheduler.iterationCost();
     EXPECT_GT(cost.iterationNs, 0.0);
@@ -80,13 +85,12 @@ TEST(RefillScheduler, IterationCostComesFromBusScheduler)
     EXPECT_GT(cost.nsPerByte(), 0.0);
 }
 
-TEST(RefillScheduler, FcfsRefillsFromIdleOnlyAndNeverSteals)
+TEST(SingleChannelRefill, FcfsRefillsFromIdleOnlyAndNeverSteals)
 {
     // Memory-bound co-runner, demand far above one tick's idle time.
     Harness harness(1 << 20);
-    sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
-    RefillScheduler scheduler(
-        harness.service, lbm,
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {kLbm},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
 
     RefillAccounting acct = scheduler.tick();
@@ -105,17 +109,15 @@ TEST(RefillScheduler, FcfsRefillsFromIdleOnlyAndNeverSteals)
     EXPECT_LE(spent_ns, acct.grantedNs + chunk_ns + 1e-6);
 }
 
-TEST(RefillScheduler, RngPriorityOutRefillsFcfsAtMemoryExpense)
+TEST(SingleChannelRefill, RngPriorityOutRefillsFcfsAtMemoryExpense)
 {
-    sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
-
     Harness fcfs_harness(1 << 20);
-    RefillScheduler fcfs(
-        fcfs_harness.service, lbm,
+    MultiChannelRefillScheduler fcfs(
+        fcfs_harness.service, {kLbm},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
     Harness prio_harness(1 << 20);
-    RefillScheduler prio(
-        prio_harness.service, lbm,
+    MultiChannelRefillScheduler prio(
+        prio_harness.service, {kLbm},
         schedulerConfig(sysperf::FairnessPolicy::RngPriority));
 
     RefillAccounting facct = fcfs.tick();
@@ -128,10 +130,8 @@ TEST(RefillScheduler, RngPriorityOutRefillsFcfsAtMemoryExpense)
     EXPECT_GE(pacct.grantedNs, facct.grantedNs);
 }
 
-TEST(RefillScheduler, BufferedFairEscalatesOnlyUrgentDemand)
+TEST(SingleChannelRefill, BufferedFairEscalatesOnlyUrgentDemand)
 {
-    sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
-
     // Panic watermark 0 with a partially filled service: nothing is
     // urgent, so buffered-fair behaves like FCFS (no stealing).
     CountingTrng calm_backend{64};
@@ -141,29 +141,29 @@ TEST(RefillScheduler, BufferedFairEscalatesOnlyUrgentDemand)
                          .panicWatermark = 0.0});
     calm.refillTick(1024); // lift the level above the empty = panic
     ASSERT_EQ(calm.urgentDemandBytes(), 0u);
-    RefillSchedulerConfig cfg =
+    MultiChannelRefillConfig cfg =
         schedulerConfig(sysperf::FairnessPolicy::BufferedFair);
-    RefillScheduler calm_scheduler(calm, lbm, cfg);
+    MultiChannelRefillScheduler calm_scheduler(calm, {kLbm}, cfg);
     RefillAccounting calm_acct = calm_scheduler.tick();
     EXPECT_EQ(calm_acct.stolenBusyNs, 0.0);
 
     // Panic watermark 1.0 with the same drained service: the whole
     // deficit is urgent; buffered-fair escalates it like priority.
-    Harness urgent_harness(1 << 20);
-    RefillScheduler urgent_scheduler(urgent_harness.service, lbm, cfg);
-    RefillAccounting urgent_acct = urgent_scheduler.tick();
+    Harness drained(1 << 20);
+    MultiChannelRefillScheduler urgent(drained.service, {kLbm}, cfg);
+    RefillAccounting urgent_acct = urgent.tick();
     EXPECT_GT(urgent_acct.stolenBusyNs, 0.0);
     EXPECT_GT(urgent_acct.bytesRefilled, calm_acct.bytesRefilled);
 }
 
-TEST(RefillScheduler, RunAccumulatesAndTopsUpSmallService)
+TEST(SingleChannelRefill, RunAccumulatesAndTopsUpSmallService)
 {
     // A small service under an idle channel: a few ticks top every
     // shard up to capacity and the accounting matches the service's
     // own refill counters.
     Harness harness(4096);
-    RefillScheduler scheduler(
-        harness.service, {"idle", 0.0, 100.0},
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {kIdle},
         schedulerConfig(sysperf::FairnessPolicy::Fcfs));
     const RefillAccounting &total = scheduler.run(50);
 
@@ -177,7 +177,7 @@ TEST(RefillScheduler, RunAccumulatesAndTopsUpSmallService)
     EXPECT_EQ(scheduler.tick().bytesRefilled, 0u);
 }
 
-TEST(RefillScheduler, ZeroDemandTickGrantsAndRefillsNothing)
+TEST(SingleChannelRefill, ZeroDemandTickGrantsAndRefillsNothing)
 {
     // A full service (or one whose shards all sit above the
     // watermark) asks for nothing: the tick must model the window,
@@ -187,9 +187,8 @@ TEST(RefillScheduler, ZeroDemandTickGrantsAndRefillsNothing)
     harness.service.refillBelowWatermark(); // top both shards up
     ASSERT_EQ(harness.service.refillDemand().bytes, 0u);
 
-    sysperf::WorkloadProfile lbm{"lbm-like", 0.65, 160.0};
-    RefillScheduler scheduler(
-        harness.service, lbm,
+    MultiChannelRefillScheduler scheduler(
+        harness.service, {kLbm},
         schedulerConfig(sysperf::FairnessPolicy::RngPriority));
     uint64_t refills_before = harness.service.refills();
 
@@ -205,7 +204,7 @@ TEST(RefillScheduler, ZeroDemandTickGrantsAndRefillsNothing)
     EXPECT_EQ(harness.service.level(0), 4096u);
 }
 
-TEST(RefillScheduler, AllShardsAboveWatermarkAreLeftAlone)
+TEST(SingleChannelRefill, AllShardsAboveWatermarkAreLeftAlone)
 {
     // Watermark 0.5: shards drained to just above it must not be
     // refilled, even under a generous policy with a drained peer.
@@ -221,8 +220,8 @@ TEST(RefillScheduler, AllShardsAboveWatermarkAreLeftAlone)
     client.request(sink.data(), sink.size()); // 4096 -> 3072 > 2048
     ASSERT_EQ(service.refillDemand().bytes, 0u);
 
-    RefillScheduler scheduler(
-        service, {"idle", 0.0, 100.0},
+    MultiChannelRefillScheduler scheduler(
+        service, {kIdle},
         schedulerConfig(sysperf::FairnessPolicy::RngPriority));
     RefillAccounting acct = scheduler.tick();
     EXPECT_EQ(acct.bytesRefilled, 0u);
@@ -236,7 +235,7 @@ TEST(RefillScheduler, AllShardsAboveWatermarkAreLeftAlone)
     EXPECT_EQ(service.level(1), 4096u);
 }
 
-TEST(RefillScheduler, SubsetDemandAndRefillRespectShardSets)
+TEST(SingleChannelRefill, SubsetDemandAndRefillRespectShardSets)
 {
     // The per-channel primitives the multi-channel scheduler is
     // built on: demand and budgeted refill restricted to a set.
