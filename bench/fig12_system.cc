@@ -1915,7 +1915,7 @@ main(int argc, char **argv)
     auto stats = sched::simulateQuacTrng(
         dram::TimingParams::ddr4(2400), quac_cfg);
     double iterations = static_cast<double>(
-        quac_cfg.iterations - quac_cfg.warmupIterations);
+        quac_cfg.iterations - sched::kQuacWarmupIterations);
     double iteration_ns = stats.totalNs / iterations;
     double bits_per_iteration = stats.bits / iterations;
     std::printf("Per-channel iteration: %.0f ns for %.0f bits "

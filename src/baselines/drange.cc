@@ -10,8 +10,14 @@
 namespace quac::baselines
 {
 
+/** Row probed in each bank. */
+constexpr uint32_t kProbeRow = 8;
+
+/** Seed of the sense-noise stream. */
+constexpr uint64_t kNoiseSeed = 1;
+
 DRangeTrng::DRangeTrng(dram::DramModule &module, DRangeConfig cfg)
-    : module_(module), cfg_(std::move(cfg)), noise_(cfg_.noiseSeed)
+    : module_(module), cfg_(std::move(cfg)), noise_(kNoiseSeed)
 {
     if (cfg_.banks.empty())
         fatal("D-RaNGe needs at least one bank");
@@ -19,8 +25,6 @@ DRangeTrng::DRangeTrng(dram::DramModule &module, DRangeConfig cfg)
         if (bank >= module_.geometry().banks)
             fatal("bank %u out of range", bank);
     }
-    if (cfg_.probeRow >= module_.geometry().rowsPerBank)
-        fatal("probe row %u out of range", cfg_.probeRow);
 }
 
 void
@@ -34,14 +38,14 @@ DRangeTrng::setup()
         dram::Bank &bank = module_.bank(bank_id);
         // D-RaNGe probes a row initialized to all-zeros (the data
         // pattern its authors found most failure-prone).
-        bank.pokeRowFill(cfg_.probeRow, false);
+        bank.pokeRowFill(kProbeRow, false);
         std::vector<float> probs =
-            bank.earlyReadProbabilities(cfg_.probeRow,
+            bank.earlyReadProbabilities(kProbeRow,
                                         cal.drangeReadNs);
 
         DRangeBankPlan plan;
         plan.bank = bank_id;
-        plan.row = cfg_.probeRow;
+        plan.row = kProbeRow;
 
         uint32_t cb_bits = geom.cacheBlockBits;
         double best_entropy = -1.0;

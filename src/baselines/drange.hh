@@ -42,9 +42,6 @@ struct DRangeConfig
     /** Enhanced = whole-block harvesting + SHA-256. */
     bool enhanced = true;
     double sibEntropyTarget = 256.0;
-    /** Row probed in each bank. */
-    uint32_t probeRow = 8;
-    uint64_t noiseSeed = 1;
 };
 
 /** The D-RaNGe generator. */

@@ -9,8 +9,18 @@
 namespace quac::baselines
 {
 
+/**
+ * Candidate victim rows characterized per bank; the highest-entropy
+ * one is harvested (the paper reports the average of per-module
+ * *maximum* row entropies).
+ */
+constexpr uint32_t kVictimCandidates = 8;
+
+/** Seed of the sense-noise stream. */
+constexpr uint64_t kNoiseSeed = 1;
+
 TalukderTrng::TalukderTrng(dram::DramModule &module, TalukderConfig cfg)
-    : module_(module), cfg_(std::move(cfg)), noise_(cfg_.noiseSeed)
+    : module_(module), cfg_(std::move(cfg)), noise_(kNoiseSeed)
 {
     if (cfg_.banks.empty())
         fatal("Talukder+ needs at least one bank");
@@ -49,8 +59,7 @@ TalukderTrng::setup()
         plan.rowEntropy = -1.0;
 
         uint32_t cb_bits = geom.cacheBlockBits;
-        for (uint32_t k = 0; k < std::max(1u, cfg_.victimCandidates);
-             ++k) {
+        for (uint32_t k = 0; k < kVictimCandidates; ++k) {
             uint32_t candidate = cfg_.victimRow +
                                  k * dram::Geometry::rowsPerSegment;
             if (candidate >= geom.rowsPerBank)

@@ -47,13 +47,6 @@ struct TalukderConfig
     uint32_t donorRow = 8;
     /** First candidate victim row. */
     uint32_t victimRow = 12;
-    /**
-     * Number of candidate victim rows characterized per bank; the
-     * highest-entropy one is harvested (the paper reports the
-     * average of per-module *maximum* row entropies).
-     */
-    uint32_t victimCandidates = 8;
-    uint64_t noiseSeed = 1;
 };
 
 /** The precharge-failure generator. */

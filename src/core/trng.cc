@@ -375,7 +375,7 @@ QuacTrng::runIterationsInto(uint8_t *out, size_t count)
         parallelFor(0, plans_.size(), [&](size_t i) {
             for (size_t k = 0; k < count; ++k)
                 executePlan(i, out + k * iter_bytes + planOffsets_[i]);
-        }, cfg_.bankThreads);
+        });
     } else if (cfg_.useSha && plans_.size() > 1 &&
                std::endian::native == std::endian::little) {
         // Serial pipeline: drive every bank's commands first, then

@@ -79,8 +79,6 @@ struct QuacTrngConfig
      * and output slice.
      */
     bool parallelBanks = true;
-    /** Bank-pipeline worker threads (0 = hardware concurrency). */
-    unsigned bankThreads = 0;
 };
 
 /** The QUAC-based true random number generator. */

@@ -63,6 +63,9 @@ percentile(const std::vector<uint64_t> &sorted, double p)
     return sorted[std::min(rank, sorted.size() - 1)];
 }
 
+/** Simulated clients use the dense clientIds kFirstClientId, ... */
+constexpr uint64_t kFirstClientId = 1;
+
 /** Key in-flight requests by (clientId, nonce). clientIds are dense
  * small integers and nonces per client stay well under 2^32 for any
  * realistic run, so the packed key is collision-free. */
@@ -143,7 +146,10 @@ runLoadGen(const LoadGenConfig &cfg)
                     ++result.unmatched;
                     continue;
                 }
-                latencies.push_back(now_ns - it->second);
+                // Measured from the scheduled send time, which a
+                // stalled sender may already have passed.
+                latencies.push_back(now_ns -
+                                    std::min(now_ns, it->second));
                 pending.erase(it);
                 ++result.received;
                 ++result.statusCounts[static_cast<size_t>(
@@ -176,7 +182,7 @@ runLoadGen(const LoadGenConfig &cfg)
             for (unsigned i = 0; i < n; ++i) {
                 uint64_t slot =
                     rng.next() % cfg.clients;
-                uint64_t client_id = cfg.firstClientId + slot;
+                uint64_t client_id = kFirstClientId + slot;
                 uint64_t nonce = ++nonces[slot];
                 double draw = rng.uniform();
                 uint8_t priority =
@@ -188,8 +194,15 @@ runLoadGen(const LoadGenConfig &cfg)
                 request.bytes = cfg.requestBytes;
                 encodeRequest(
                     tx_buffers.data() + i * kRequestBytes, request);
+                // Stamp the scheduled arrival, not the send: a
+                // sender that fell behind must not hide its own
+                // stall from the latency (coordinated omission).
+                uint64_t scheduled_ns =
+                    start_ns + static_cast<uint64_t>(
+                                   static_cast<double>(sent + i) *
+                                   interval_ns);
                 pending.emplace(pendingKey(client_id, nonce),
-                                monotonicNs());
+                                scheduled_ns);
             }
             unsigned done = 0;
             while (done < n) {

@@ -14,7 +14,9 @@
  * Every in-flight request is tracked by (clientId, nonce) until its
  * response echoes the pair back; the run result reports measured
  * requests/s, per-status response counts, and p50/p95/p99/max
- * wall-clock latency. Requests still unanswered after the drain
+ * wall-clock latency, measured from each request's scheduled arrival
+ * (not its actual send), so a sender that falls behind counts its own
+ * stall instead of hiding it. Requests still unanswered after the drain
  * timeout are counted as lost — the loopback smoke test asserts that
  * number is zero for well-formed traffic.
  *
@@ -63,8 +65,6 @@ struct LoadGenConfig
     int drainTimeoutMs = 1000;
     /** PRNG seed (client choice + priority draw). */
     uint64_t seed = 1;
-    /** First clientId (offset to avoid cross-run table reuse). */
-    uint64_t firstClientId = 1;
 };
 
 /** One load-generator run's measurements. */

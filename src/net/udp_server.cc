@@ -19,6 +19,12 @@ namespace quac::net
 namespace
 {
 
+/** Refill budget per idle wakeup in bytes. */
+constexpr size_t kIdleRefillBudgetBytes = 64 * 1024;
+
+/** SO_RCVBUF / SO_SNDBUF request (the kernel clamps it). */
+constexpr int kSocketBufferBytes = 1 << 21;
+
 uint64_t
 monotonicNs()
 {
@@ -44,33 +50,25 @@ UdpServer::UdpServer(service::EntropyService &service,
                      UdpServerConfig cfg)
     : service_(service), cfg_(std::move(cfg)),
       table_(service, cfg_.table),
-      global_(cfg_.globalBytesPerSec, cfg_.globalBurstBytes)
+      global_(cfg_.globalBytesPerSec, cfg_.globalBytesPerSec)
 {
     if (cfg_.batchMessages < 1 ||
         cfg_.batchMessages > kMaxBatchMessages)
         fatal("batchMessages must be in [1, %u], got %u",
               kMaxBatchMessages, cfg_.batchMessages);
-    if (cfg_.maxPayloadBytes == 0 ||
-        cfg_.maxPayloadBytes > kMaxPayloadBytes)
-        fatal("maxPayloadBytes must be in [1, %zu], got %zu",
-              kMaxPayloadBytes, cfg_.maxPayloadBytes);
     if (cfg_.idleTimeoutMs <= 0)
         fatal("idleTimeoutMs must be > 0");
 
     fd_ = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
     if (fd_ < 0)
         fatal("socket: %s", std::strerror(errno));
-    if (cfg_.socketBufferBytes > 0) {
-        // Best-effort: the kernel clamps to rmem_max/wmem_max; a
-        // smaller buffer only means earlier backpressure, which the
-        // explicit-DENY path already handles.
-        ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF,
-                     &cfg_.socketBufferBytes,
-                     sizeof(cfg_.socketBufferBytes));
-        ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF,
-                     &cfg_.socketBufferBytes,
-                     sizeof(cfg_.socketBufferBytes));
-    }
+    // Best-effort: the kernel clamps to rmem_max/wmem_max; a smaller
+    // buffer only means earlier backpressure, which the explicit-DENY
+    // path already handles.
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &kSocketBufferBytes,
+                 sizeof(kSocketBufferBytes));
+    ::setsockopt(fd_, SOL_SOCKET, SO_SNDBUF, &kSocketBufferBytes,
+                 sizeof(kSocketBufferBytes));
 
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
@@ -110,8 +108,7 @@ UdpServer::UdpServer(service::EntropyService &service,
     rxAddrs_.resize(batch);
     rxIovecs_.resize(batch);
     rxMsgs_.resize(batch);
-    txSlotBytes_ = kResponseHeaderBytes + cfg_.maxPayloadBytes;
-    txBuffers_.resize(batch * txSlotBytes_);
+    txBuffers_.resize(batch * kTxSlotBytes);
     txAddrs_.resize(batch);
     txIovecs_.resize(batch);
     txMsgs_.resize(batch);
@@ -123,7 +120,7 @@ UdpServer::UdpServer(service::EntropyService &service,
         rxMsgs_[i].msg_hdr.msg_namelen = sizeof(rxAddrs_[i]);
         rxMsgs_[i].msg_hdr.msg_iov = &rxIovecs_[i];
         rxMsgs_[i].msg_hdr.msg_iovlen = 1;
-        txIovecs_[i] = {txBuffers_.data() + i * txSlotBytes_, 0};
+        txIovecs_[i] = {txBuffers_.data() + i * kTxSlotBytes, 0};
         std::memset(&txMsgs_[i], 0, sizeof(txMsgs_[i]));
         txMsgs_[i].msg_hdr.msg_name = &txAddrs_[i];
         txMsgs_[i].msg_hdr.msg_namelen = sizeof(txAddrs_[i]);
@@ -174,12 +171,12 @@ UdpServer::handleDatagram(unsigned i, unsigned slot, uint64_t now_ns)
 
     // From here on every outcome is a response: overload and
     // rejection are explicit DENY statuses, never silence.
-    uint8_t *tx = txBuffers_.data() + slot * txSlotBytes_;
+    uint8_t *tx = txBuffers_.data() + slot * kTxSlotBytes;
     uint8_t *payload = tx + kResponseHeaderBytes;
     Status status = Status::Ok;
     uint32_t payload_bytes = 0;
 
-    if (request.bytes > cfg_.maxPayloadBytes) {
+    if (request.bytes > kMaxPayloadBytes) {
         status = Status::DenyOversized;
     } else {
         service::ClientTable::Acquire acquired = table_.acquire(
@@ -321,7 +318,7 @@ UdpServer::idleTick()
     ++stats_.idleWakeups;
     if (cfg_.idleRefill) {
         stats_.idleRefillBytes +=
-            service_.refillTick(cfg_.idleRefillBudgetBytes);
+            service_.refillTick(kIdleRefillBudgetBytes);
         service_.healthTick();
     }
     table_.pump();

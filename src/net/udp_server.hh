@@ -65,14 +65,11 @@ struct UdpServerConfig
     uint16_t port = 0;
     /** Datagrams per recvmmsg/sendmmsg syscall (1..64). */
     unsigned batchMessages = 16;
-    /** Per-request payload cap (<= wire::kMaxPayloadBytes). */
-    size_t maxPayloadBytes = kMaxPayloadBytes;
     /** Wire-client table: capacity + per-client pacing. */
     service::ClientTableConfig table;
-    /** Global serve-rate cap in payload bytes/s (0 = uncapped). */
+    /** Global serve-rate cap in payload bytes/s (0 = uncapped); the
+     * bucket holds one second's worth. */
     double globalBytesPerSec = 0.0;
-    /** Global bucket depth in bytes (0 = one second's rate). */
-    double globalBurstBytes = 0.0;
     /**
      * Top shards up (budgeted, most-drained-first) and drive the
      * admission queue whenever the loop goes idle — the
@@ -82,12 +79,8 @@ struct UdpServerConfig
      * hand).
      */
     bool idleRefill = true;
-    /** Refill budget per idle wakeup in bytes. */
-    size_t idleRefillBudgetBytes = 64 * 1024;
     /** Idle wakeup period in ms (epoll timeout when idleRefill). */
     int idleTimeoutMs = 2;
-    /** SO_RCVBUF / SO_SNDBUF request (0 = kernel default). */
-    int socketBufferBytes = 1 << 21;
 };
 
 /** Counters; single-threaded, read when the loop is parked. */
@@ -207,7 +200,8 @@ class UdpServer
     std::vector<mmsghdr> rxMsgs_;
 
     /** TX: response header + payload, filled in place. */
-    size_t txSlotBytes_ = 0;
+    static constexpr size_t kTxSlotBytes =
+        kResponseHeaderBytes + kMaxPayloadBytes;
     std::vector<uint8_t> txBuffers_;
     std::vector<sockaddr_in> txAddrs_;
     std::vector<iovec> txIovecs_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.hh"
+#include "dram/calibration.hh"
 #include "sched/bus_scheduler.hh"
 
 namespace quac::sched
@@ -12,6 +13,17 @@ namespace
 {
 
 using dram::CommandType;
+
+/** Device calibration every schedule's violated timings come from. */
+constexpr dram::Calibration kCalibration{};
+
+/** D-RaNGe: 256-bit numbers simulated, and the warmup prefix. */
+constexpr uint32_t kDRangeNumbers = 400;
+constexpr uint32_t kDRangeWarmupNumbers = 20;
+
+/** Talukder+: rows harvested, and the warmup prefix. */
+constexpr uint32_t kTalukderRows = 60;
+constexpr uint32_t kTalukderWarmupRows = 6;
 
 /** Violated sequence for one RowClone copy. */
 std::vector<std::pair<CommandType, double>>
@@ -38,11 +50,11 @@ simulateQuacOn(BusScheduler &bus, const QuacScheduleConfig &cfg)
 {
     QUAC_ASSERT(cfg.banks >= 1 && cfg.banks <= 4,
                 "banks=%u (one per bank group)", cfg.banks);
-    QUAC_ASSERT(cfg.iterations > cfg.warmupIterations,
+    QUAC_ASSERT(cfg.iterations > kQuacWarmupIterations,
                 "iterations=%u warmup=%u", cfg.iterations,
-                cfg.warmupIterations);
+                kQuacWarmupIterations);
 
-    const dram::Calibration &cal = cfg.calibration;
+    const dram::Calibration &cal = kCalibration;
     const IterationProfile &profile = cfg.profile;
 
     uint32_t reads_per_sib =
@@ -98,7 +110,7 @@ simulateQuacOn(BusScheduler &bus, const QuacScheduleConfig &cfg)
                 BusScheduler::IssueInfo info = bus.issueRead(b, 0.0);
                 if (!latency_done && b == 0 &&
                     ++bank0_reads == reads_per_sib) {
-                    latency = info.dataEnd + cfg.sha.latencyNs();
+                    latency = info.dataEnd + kShaCore.latencyNs();
                     latency_done = true;
                 }
             }
@@ -106,7 +118,7 @@ simulateQuacOn(BusScheduler &bus, const QuacScheduleConfig &cfg)
         for (uint32_t b = 0; b < cfg.banks; ++b)
             bus.issuePre(b, 0.0);
 
-        if (iter + 1 == cfg.warmupIterations) {
+        if (iter + 1 == kQuacWarmupIterations) {
             checkpoint = std::max(bus.lastCommandTime(),
                                   bus.dataBusEnd());
             warmup_commands = bus.commandsIssued();
@@ -117,7 +129,7 @@ simulateQuacOn(BusScheduler &bus, const QuacScheduleConfig &cfg)
     ScheduleStats stats;
     stats.totalNs = end - checkpoint;
     stats.bits = 256.0 * profile.sib * cfg.banks *
-                 (cfg.iterations - cfg.warmupIterations);
+                 (cfg.iterations - kQuacWarmupIterations);
     stats.latency256Ns = latency;
     stats.busUtilization = end > 0.0 ? bus.dataBusBusyNs() / end : 0.0;
     stats.commands = bus.commandsIssued() - warmup_commands;
@@ -150,7 +162,7 @@ refillCostFrom(const ScheduleStats &stats,
                const QuacScheduleConfig &cfg)
 {
     double iterations =
-        static_cast<double>(cfg.iterations - cfg.warmupIterations);
+        static_cast<double>(cfg.iterations - kQuacWarmupIterations);
     RefillCost cost;
     cost.iterationNs = stats.totalNs / iterations;
     cost.bitsPerIteration = stats.bits / iterations;
@@ -182,11 +194,8 @@ simulateDRange(const dram::TimingParams &timing,
 {
     QUAC_ASSERT(cfg.banks >= 1 && cfg.banks <= 4, "banks=%u",
                 cfg.banks);
-    QUAC_ASSERT(cfg.numbers > cfg.warmupNumbers, "numbers=%u",
-                cfg.numbers);
-
     BusScheduler bus(timing, 16, 4);
-    const dram::Calibration &cal = cfg.calibration;
+    const dram::Calibration &cal = kCalibration;
 
     std::vector<std::pair<CommandType, double>> access_seq = {
         {CommandType::ACT, 0.0},
@@ -195,9 +204,9 @@ simulateDRange(const dram::TimingParams &timing,
     double checkpoint = 0.0;
     double latency = 0.0;
     uint64_t total_accesses =
-        static_cast<uint64_t>(cfg.numbers) * cfg.accessesPerNumber;
+        static_cast<uint64_t>(kDRangeNumbers) * cfg.accessesPerNumber;
     uint64_t warmup_accesses =
-        static_cast<uint64_t>(cfg.warmupNumbers) *
+        static_cast<uint64_t>(kDRangeWarmupNumbers) *
         cfg.accessesPerNumber;
     uint64_t first_number_accesses = cfg.accessesPerNumber;
 
@@ -227,7 +236,7 @@ simulateDRange(const dram::TimingParams &timing,
             done >= first_number_accesses) {
             latency = last_cmd + timing.tCL + timing.tBurst;
             if (cfg.useSha)
-                latency += cfg.sha.latencyNs();
+                latency += kShaCore.latencyNs();
         }
         if (prev_done < warmup_accesses && done >= warmup_accesses) {
             checkpoint = std::max(bus.lastCommandTime(),
@@ -252,10 +261,8 @@ simulateTalukder(const dram::TimingParams &timing,
 {
     QUAC_ASSERT(cfg.banks >= 1 && cfg.banks <= 4, "banks=%u",
                 cfg.banks);
-    QUAC_ASSERT(cfg.rows > cfg.warmupRows, "rows=%u", cfg.rows);
-
     BusScheduler bus(timing, 16, 4);
-    const dram::Calibration &cal = cfg.calibration;
+    const dram::Calibration &cal = kCalibration;
 
     // Donor activation with obeyed tRAS, then a tRP-violated
     // re-activation of the victim row.
@@ -273,13 +280,13 @@ simulateTalukder(const dram::TimingParams &timing,
     // Rows are harvested in waves of cfg.banks so the row reads from
     // different bank groups interleave on the data bus (the paper's
     // bank-group-parallelism augmentation).
-    uint32_t waves = (cfg.rows + cfg.banks - 1) / cfg.banks;
+    uint32_t waves = (kTalukderRows + cfg.banks - 1) / cfg.banks;
     uint32_t rows_done = 0;
     uint32_t warmup_rows_done = 0;
 
     for (uint32_t wave = 0; wave < waves; ++wave) {
         uint32_t in_wave =
-            std::min(cfg.banks, cfg.rows - wave * cfg.banks);
+            std::min(cfg.banks, kTalukderRows - wave * cfg.banks);
 
         for (uint32_t b = 0; b < in_wave; ++b) {
             if (cfg.rowCloneInit) {
@@ -301,7 +308,7 @@ simulateTalukder(const dram::TimingParams &timing,
                     col + 1 == columns_per_256) {
                     latency = info.dataEnd;
                     if (cfg.useSha)
-                        latency += cfg.sha.latencyNs();
+                        latency += kShaCore.latencyNs();
                     latency_done = true;
                 }
             }
@@ -310,8 +317,8 @@ simulateTalukder(const dram::TimingParams &timing,
             bus.issuePre(b, 0.0);
 
         rows_done += in_wave;
-        if (warmup_rows_done < cfg.warmupRows &&
-            rows_done >= cfg.warmupRows) {
+        if (warmup_rows_done < kTalukderWarmupRows &&
+            rows_done >= kTalukderWarmupRows) {
             checkpoint = std::max(bus.lastCommandTime(),
                                   bus.dataBusEnd());
             warmup_rows_done = rows_done;
@@ -321,7 +328,7 @@ simulateTalukder(const dram::TimingParams &timing,
     double end = std::max(bus.lastCommandTime(), bus.dataBusEnd());
     ScheduleStats stats;
     stats.totalNs = end - checkpoint;
-    stats.bits = cfg.bitsPerRow * (cfg.rows - warmup_rows_done);
+    stats.bits = cfg.bitsPerRow * (kTalukderRows - warmup_rows_done);
     stats.latency256Ns = latency;
     stats.busUtilization = end > 0.0 ? bus.dataBusBusyNs() / end : 0.0;
     return stats;

@@ -12,7 +12,6 @@
 
 #include <cstdint>
 
-#include "dram/calibration.hh"
 #include "dram/timing.hh"
 #include "sched/channel_topology.hh"
 #include "sched/sha_model.hh"
@@ -38,6 +37,12 @@ struct IterationProfile
     uint32_t columnsPerRow = 128;
 };
 
+/** Iterations simulated before the QUAC steady-state window opens. */
+constexpr uint32_t kQuacWarmupIterations = 5;
+
+/** The memory-controller SHA-256 core every schedule charges. */
+inline constexpr ShaCoreModel kShaCore{};
+
 /** QUAC-TRNG schedule configuration (Fig 11 configurations). */
 struct QuacScheduleConfig
 {
@@ -45,16 +50,14 @@ struct QuacScheduleConfig
     /** Banks used concurrently (1 = One Bank; 4 = bank-group par.). */
     uint32_t banks = 4;
     IterationProfile profile;
+    /** Iterations simulated (> kQuacWarmupIterations). */
     uint32_t iterations = 50;
-    uint32_t warmupIterations = 5;
     /**
      * Paper Section 4.3 future interface: a DRAM chip specified to
      * perform QUAC natively replaces the three-command violated
      * ACT-PRE-ACT sequence with a single QUAC command.
      */
     bool nativeQuacCommand = false;
-    dram::Calibration calibration;
-    ShaCoreModel sha;
 };
 
 /** Measured schedule outcome. */
@@ -129,10 +132,6 @@ struct DRangeScheduleConfig
     uint32_t accessesPerNumber = 64;
     /** Enhanced configuration post-processes with SHA-256. */
     bool useSha = false;
-    uint32_t numbers = 400;
-    uint32_t warmupNumbers = 20;
-    dram::Calibration calibration;
-    ShaCoreModel sha;
 };
 
 /** Simulate D-RaNGe on one channel. */
@@ -152,10 +151,6 @@ struct TalukderScheduleConfig
     /** Enhanced configuration initializes rows with RowClone. */
     bool rowCloneInit = true;
     bool useSha = true;
-    uint32_t rows = 60;
-    uint32_t warmupRows = 6;
-    dram::Calibration calibration;
-    ShaCoreModel sha;
 };
 
 /** Simulate Talukder+ on one channel. */

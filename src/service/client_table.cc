@@ -2,11 +2,15 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <string_view>
 
 #include "common/error.hh"
 
 namespace quac::service
 {
+
+/** Service client-name prefix ("net-<16-hex-digit id>"). */
+constexpr std::string_view kNamePrefix = "net";
 
 ClientTable::ClientTable(EntropyService &service,
                          ClientTableConfig cfg)
@@ -14,29 +18,26 @@ ClientTable::ClientTable(EntropyService &service,
 {
     if (cfg_.capacity == 0)
         fatal("client table needs capacity >= 1");
-    if (cfg_.perClientBytesPerSec < 0.0 ||
-        cfg_.perClientBurstBytes < 0.0)
-        fatal("client table pacing rates must be >= 0");
+    if (cfg_.perClientBytesPerSec < 0.0)
+        fatal("client table pacing rate must be >= 0");
 }
 
 std::string
-ClientTable::wireName(uint64_t id) const
+ClientTable::wireName(uint64_t id)
 {
     char buf[32];
     std::snprintf(buf, sizeof(buf), "-%016" PRIx64, id);
-    return cfg_.namePrefix + buf;
+    return std::string(kNamePrefix) + buf;
 }
 
 bool
-ClientTable::parseWireName(const std::string &name,
-                           uint64_t &id) const
+ClientTable::parseWireName(const std::string &name, uint64_t &id)
 {
     // "<prefix>-" + exactly 16 hex digits.
-    size_t fixed = cfg_.namePrefix.size() + 1;
+    size_t fixed = kNamePrefix.size() + 1;
     if (name.size() != fixed + 16 ||
-        name.compare(0, cfg_.namePrefix.size(), cfg_.namePrefix) !=
-            0 ||
-        name[cfg_.namePrefix.size()] != '-')
+        name.compare(0, kNamePrefix.size(), kNamePrefix) != 0 ||
+        name[kNamePrefix.size()] != '-')
         return false;
     uint64_t value = 0;
     for (size_t i = fixed; i < name.size(); ++i) {
@@ -59,16 +60,18 @@ ClientTable::install(uint64_t id, EntropyService::Client client,
                      uint64_t now_ns)
 {
     if (lru_.size() >= cfg_.capacity) {
-        // Evict the least-recently-seen mapping. The service-side
-        // client lingers (no disconnect API); the wire state —
-        // nonce window, pacing tokens — is forgotten with the
-        // entry, which is the bounded table's documented trade.
+        // Evict the least-recently-seen mapping together with its
+        // service-side client, so the service registry stays bounded
+        // by the table. The wire state — nonce window, pacing tokens
+        // — is forgotten with the entry, which is the bounded
+        // table's documented trade.
+        service_.disconnect(lru_.back().client);
         byId_.erase(lru_.back().id);
         lru_.pop_back();
         ++stats_.evictions;
     }
     TokenBucket bucket(cfg_.perClientBytesPerSec,
-                       cfg_.perClientBurstBytes);
+                       cfg_.perClientBytesPerSec);
     // Anchor the bucket clock at install so the first refill spans
     // elapsed service time, not time since the epoch.
     bucket.tryTake(0.0, now_ns);

@@ -13,12 +13,12 @@
  * business knowing: the last sequence nonce (replay and gap
  * detection) and a token bucket (per-client pacing).
  *
- * Eviction drops the wire mapping only; the service-side client
- * state persists (the service has no disconnect), so a returning
- * evicted client re-enters through the admission gate as a fresh
- * client with a fresh nonce window. That forgetting is the bounded
- * table's deliberate trade: replay protection spans a client's
- * residency, not all time.
+ * Eviction disconnects the service-side client too, so the service
+ * registry stays bounded by the table (a flood of spoofed ids cannot
+ * grow server memory), and a returning evicted client re-enters
+ * through the admission gate as a fresh client with a fresh nonce
+ * window. That forgetting is the bounded table's deliberate trade:
+ * replay protection spans a client's residency, not all time.
  *
  * Bulk connects the gate parks (AdmissionDecision::Queued) are
  * remembered by id so retries do not multiply queue entries; pump()
@@ -50,12 +50,9 @@ struct ClientTableConfig
 {
     /** Maximum live wire-client mappings (>= 1). */
     size_t capacity = 4096;
-    /** Per-client pacing rate in payload bytes/s (0 = unpaced). */
+    /** Per-client pacing rate in payload bytes/s (0 = unpaced); the
+     * bucket holds one second's worth. */
     double perClientBytesPerSec = 0.0;
-    /** Per-client bucket depth in bytes (0 = one second's rate). */
-    double perClientBurstBytes = 0.0;
-    /** Service client-name prefix ("<prefix>-<16-hex-digit id>"). */
-    std::string namePrefix = "net";
 };
 
 /** Bounded LRU map of wire clients onto service clients. */
@@ -173,14 +170,15 @@ class ClientTable
 
     const Stats &stats() const { return stats_; }
 
-    /** The service-client name for a wire id. */
-    std::string wireName(uint64_t id) const;
+    /** The service-client name for a wire id
+     * ("net-<16-hex-digit id>"). */
+    static std::string wireName(uint64_t id);
 
     /**
      * Parse an id back out of a wireName()-formatted name.
      * @return true on success.
      */
-    bool parseWireName(const std::string &name, uint64_t &id) const;
+    static bool parseWireName(const std::string &name, uint64_t &id);
 
   private:
     /** Install a mapping (evicting the LRU victim at capacity). */

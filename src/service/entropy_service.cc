@@ -116,6 +116,22 @@ constexpr uint32_t kSyncFillRetries = 2;
 /** Wall-clock backoff before the first retry; doubles per retry. */
 constexpr std::chrono::microseconds kSyncFillBackoff{50};
 
+/**
+ * Request-latency model, in simulated ns: the controller-SRAM read and
+ * response of a buffered request, and the fixed per-request
+ * arbitration/bookkeeping overhead.
+ */
+constexpr double kHitNs = 20.0;
+constexpr double kPerRequestNs = 5.0;
+
+/**
+ * Synchronous-generation cost per missing byte, approximating one
+ * DDR4-2400 4-bank QUAC channel. The refill schedulers replace it
+ * with the BusScheduler-measured channel rate through
+ * setMissLatencyNsPerByte when installLatencyCost is set.
+ */
+constexpr double kMissNsPerByte = 2.0;
+
 } // anonymous namespace
 
 /**
@@ -142,11 +158,14 @@ struct EntropyService::Client::State
     std::atomic<uint64_t> bytesFromBuffer{0};
     std::atomic<uint64_t> bytesSynchronous{0};
     std::atomic<uint64_t> migrations{0};
+    /** Position in clients_ (swap-remove on disconnect). */
+    size_t index = 0;
 };
 
 EntropyService::EntropyService(std::vector<core::Trng *> backends,
                                EntropyServiceConfig cfg)
-    : cfg_(std::move(cfg)), backends_(std::move(backends))
+    : cfg_(std::move(cfg)), backends_(std::move(backends)),
+      retired_(std::make_unique<Client::State>())
 {
     if (backends_.empty())
         fatal("EntropyService needs at least one backend");
@@ -678,18 +697,6 @@ EntropyService::refillTick(size_t budget_bytes,
     return added;
 }
 
-size_t
-EntropyService::refillDemandBytes()
-{
-    return refillDemand().bytes;
-}
-
-size_t
-EntropyService::urgentDemandBytes()
-{
-    return refillDemand().urgentBytes;
-}
-
 EntropyService::RefillDemand
 EntropyService::refillDemand()
 {
@@ -847,12 +854,9 @@ EntropyService::shardLoadSnapshot(size_t shard) const
     QUAC_ASSERT(shard < shards_.size(), "shard=%zu", shard);
     const Shard &sampled = *shards_[shard];
     ShardLoadSnapshot snapshot;
+    snapshot.load = loadOf(sampled);
     snapshot.recentP95Ns = sampled.recent.p95Ns();
     snapshot.recentP99Ns = sampled.recent.p99Ns();
-    snapshot.load =
-        deficitFraction(sampled) +
-        snapshot.recentP95Ns * kPlacementLatencyWeight +
-        busyHorizonNs(sampled) * kPlacementBusyWeight;
     return snapshot;
 }
 
@@ -894,10 +898,43 @@ EntropyService::connect(std::string name, Priority priority,
     auto state = std::make_unique<Client::State>();
     state->name = std::move(name);
     state->priority = priority;
+    state->index = clients_.size();
     state->shard.store(shard, std::memory_order_release);
     Client client(this, state.get());
     clients_.push_back(std::move(state));
     return client;
+}
+
+void
+EntropyService::disconnect(const Client &client)
+{
+    QUAC_ASSERT(client.service_ == this, "client of another service");
+    MutexLock lock(clientsMutex_);
+    size_t index = client.state_->index;
+    QUAC_ASSERT(index < clients_.size() &&
+                    clients_[index].get() == client.state_,
+                "client '%s' is not connected",
+                client.state_->name.c_str());
+    const Client::State &gone = *client.state_;
+    // relaxed: per-client accumulators, folded under clientsMutex_;
+    // no request is in flight on a disconnecting client.
+    for (auto counter :
+         {&Client::State::requests, &Client::State::bufferHits,
+          &Client::State::synchronousFills, &Client::State::denials}) {
+        ((*retired_).*counter)
+            .fetch_add((gone.*counter).load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    }
+    std::swap(clients_[index], clients_.back());
+    clients_[index]->index = index;
+    clients_.pop_back();
+}
+
+size_t
+EntropyService::clientCount() const
+{
+    MutexLock lock(clientsMutex_);
+    return clients_.size();
 }
 
 bool
@@ -1064,11 +1101,10 @@ EntropyService::retuneBackend(size_t backend,
                               const std::function<bool()> &reconfigure)
 {
     QUAC_ASSERT(backend < backends_.size(), "backend=%zu", backend);
-    if (reconfigure) {
+    {
         // Under the backend lock: no fill is in flight while the
         // generator's geometry changes.
-        MutexLock backend_lock(
-            *backendLocks_[backend]);
+        MutexLock backend_lock(*backendLocks_[backend]);
         if (!reconfigure())
             return 0;
     }
@@ -1098,12 +1134,6 @@ EntropyService::retuneBackend(size_t backend,
     suspectBytesDropped_.fetch_add(dropped,
                                    std::memory_order_relaxed);
     return dropped;
-}
-
-size_t
-EntropyService::markBackendSuspect(size_t backend)
-{
-    return retuneBackend(backend, nullptr);
 }
 
 void
@@ -1174,12 +1204,12 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
 {
     if (!monitor_)
         return syncFillLegacyLocked(shard, out, need);
-    // Bounded failover: each bank gets at most readFailureLimit
+    // Bounded failover: each bank gets at most kReadFailureLimit
     // throwing attempts before quarantine moves the shard on, plus
     // one fill on the final destination.
     size_t max_attempts =
         backends_.size() *
-        (size_t{cfg_.health.readFailureLimit} + 1);
+        (size_t{kReadFailureLimit} + 1);
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
         bool ok = true;
         bool changed = false;
@@ -1273,7 +1303,7 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
         double installed =
             missNsPerByte_.load(std::memory_order_relaxed);
         double ns_per_byte =
-            installed > 0.0 ? installed : cfg_.latency.missNsPerByte;
+            installed > 0.0 ? installed : kMissNsPerByte;
         // Advance the service-wide modelled "now" (monotonic max):
         // the placement busy-horizon is measured against it.
         double seen = latestArrivalNs_.load(std::memory_order_relaxed);
@@ -1285,7 +1315,7 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
             arrival_ns,
             shard.busyUntilNs.load(std::memory_order_relaxed));
         double service_ns =
-            cfg_.latency.perRequestNs + cfg_.latency.hitNs +
+            kPerRequestNs + kHitNs +
             static_cast<double>(synchronous_bytes) * ns_per_byte;
         if (synchronous_bytes > 0)
             shard.busyUntilNs.store(start + service_ns,
@@ -1507,53 +1537,41 @@ EntropyService::shardBackendIndex(size_t shard) const
 }
 
 uint64_t
-EntropyService::requestsServed() const
+EntropyService::sumClients(
+    std::atomic<uint64_t> Client::State::*counter) const
 {
     MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
     // relaxed: per-client accumulators; a concurrent snapshot may tear
     // between fields, each field is exact.
+    uint64_t total =
+        ((*retired_).*counter).load(std::memory_order_relaxed);
     for (const auto &client : clients_)
-        total += client->requests.load(std::memory_order_relaxed);
+        total += ((*client).*counter).load(std::memory_order_relaxed);
     return total;
+}
+
+uint64_t
+EntropyService::requestsServed() const
+{
+    return sumClients(&Client::State::requests);
 }
 
 uint64_t
 EntropyService::bufferHits() const
 {
-    MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
-    // relaxed: per-client accumulators; a concurrent snapshot may tear
-    // between fields, each field is exact.
-    for (const auto &client : clients_)
-        total += client->bufferHits.load(std::memory_order_relaxed);
-    return total;
+    return sumClients(&Client::State::bufferHits);
 }
 
 uint64_t
 EntropyService::synchronousFills() const
 {
-    MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
-    for (const auto &client : clients_) {
-        // relaxed: per-client accumulators; a concurrent snapshot may
-        // tear between fields, each field is exact.
-        total +=
-            client->synchronousFills.load(std::memory_order_relaxed);
-    }
-    return total;
+    return sumClients(&Client::State::synchronousFills);
 }
 
 uint64_t
 EntropyService::denials() const
 {
-    MutexLock lock(clientsMutex_);
-    uint64_t total = 0;
-    // relaxed: per-client accumulators; a concurrent snapshot may tear
-    // between fields, each field is exact.
-    for (const auto &client : clients_)
-        total += client->denials.load(std::memory_order_relaxed);
-    return total;
+    return sumClients(&Client::State::denials);
 }
 
 RequestResult

@@ -163,8 +163,6 @@ struct EntropyServiceConfig
     double panicWatermark = 0.125;
     /** Hard per-request byte cap (0 = unlimited); larger = denied. */
     size_t maxRequestBytes = 0;
-    /** Request-latency model parameters (timestamped requests). */
-    LatencyModelConfig latency;
     /** Shard choice for auto-placed connect() calls. */
     PlacementPolicy placement = PlacementPolicy::RoundRobin;
     /**
@@ -309,6 +307,17 @@ class EntropyService
                    Priority priority = Priority::Standard,
                    size_t shard = autoShard);
 
+    /**
+     * Unregister @p client in O(1). Its counters fold into the
+     * aggregate statistics, so requestsServed() and friends stay
+     * exact. The handle and every copy of it are invalid afterwards,
+     * and no request on it may be in flight.
+     */
+    void disconnect(const Client &client);
+
+    /** Registered (connected, not yet disconnected) clients. */
+    size_t clientCount() const;
+
     /** @name SLO-aware admission control (cfg.admission.enabled) */
     /**@{*/
     /** What admit() decided, plus the handle when admitted. */
@@ -395,10 +404,6 @@ class EntropyService
      */
     size_t retuneBackend(size_t backend,
                          const std::function<bool()> &reconfigure);
-
-    /** Flush-only form: unconditionally mark @p backend's buffered
-     * spans suspect and drop them. */
-    size_t markBackendSuspect(size_t backend);
 
     /** Suspect bytes dropped by retuning so far (never served). */
     uint64_t suspectBytesDropped() const
@@ -489,28 +494,21 @@ class EntropyService
 
     /** @name Refill */
     /**@{*/
-    /**
-     * Bytes needed to top every at-or-below-watermark shard up to
-     * capacity, rounded up to whole backend chunks (what a refill
-     * would actually pull).
-     */
-    size_t refillDemandBytes();
-
-    /** The part of refillDemandBytes() from shards at or below the
-     * panic watermark (escalated under BufferedFair). */
-    size_t urgentDemandBytes();
-
-    /** Total and urgent demand in one consistent snapshot. */
+    /** Refill demand: what topping up would actually pull. */
     struct RefillDemand
     {
+        /** Bytes needed to top every at-or-below-watermark shard up
+         * to capacity, rounded up to whole backend chunks. */
         size_t bytes = 0;
+        /** The part of bytes from shards at or below the panic
+         * watermark (escalated under BufferedFair). */
         size_t urgentBytes = 0; ///< Always <= bytes.
     };
 
     /**
      * Both demand figures with each shard's deficit read under one
      * lock acquisition, so urgentBytes <= bytes holds even while
-     * clients drain concurrently (the separate accessors can tear).
+     * clients drain concurrently.
      */
     RefillDemand refillDemand();
 
@@ -842,6 +840,11 @@ class EntropyService
     /** Top one shard up to capacity; returns bytes added. */
     size_t refillShard(Shard &shard);
 
+    /** Sum of one per-client counter over the live clients plus the
+     * disconnected ones' folded totals. */
+    uint64_t sumClients(
+        std::atomic<uint64_t> Client::State::*counter) const;
+
     /**
      * Serve one request. @p arrival_ns is the simulated arrival time
      * of a timestamped request; NaN disables the latency model (the
@@ -892,7 +895,12 @@ class EntropyService
     /** Guards the registry only; mutable so the aggregate-stat sums
      * (over per-client accumulators) stay const. */
     mutable Mutex clientsMutex_;
+    /** Live clients; each State records its index for O(1)
+     * swap-remove on disconnect. */
     std::vector<std::unique_ptr<Client::State>> clients_
+        QUAC_GUARDED_BY(clientsMutex_);
+    /** Counters of disconnected clients, folded in at disconnect. */
+    std::unique_ptr<Client::State> retired_
         QUAC_GUARDED_BY(clientsMutex_);
     size_t nextShard_ QUAC_GUARDED_BY(clientsMutex_) = 0;
 
@@ -921,7 +929,7 @@ class EntropyService
     std::atomic<uint64_t> refills_{0};
     std::atomic<uint64_t> bytesRefilled_{0};
 
-    /** Installed sync-fill rate; 0 = use cfg_.latency default. */
+    /** Installed sync-fill rate; 0 = use kMissNsPerByte. */
     std::atomic<double> missNsPerByte_{0.0};
 
     /**

@@ -5,14 +5,23 @@
 namespace quac::service
 {
 
+/**
+ * The destination's load must be below the source's load times this
+ * factor, so clients never hop between two equally bad shards (the
+ * other half of the anti-ping-pong hysteresis next to cooldownTicks).
+ */
+constexpr double kImprovementFactor = 0.7;
+
+/** Cap on migrations per tick() across all managed clients (prevents
+ * a stampede onto one momentarily idle shard). */
+constexpr size_t kMaxMigrationsPerTick = 1;
+
 SloMigrator::SloMigrator(EntropyService &service,
                          SloMigratorConfig cfg)
     : service_(service), cfg_(cfg)
 {
     if (cfg_.breachTicks == 0)
         fatal("SLO migrator needs breachTicks >= 1");
-    if (cfg_.improvementFactor <= 0.0 || cfg_.improvementFactor > 1.0)
-        fatal("SLO migrator improvement factor must be in (0, 1]");
 }
 
 void
@@ -42,7 +51,7 @@ SloMigrator::tick()
 
     size_t moved = 0;
     for (Managed &managed : managed_) {
-        if (moved >= cfg_.maxMigrationsPerTick)
+        if (moved >= kMaxMigrationsPerTick)
             break;
         const SloTarget &slo =
             cfg_.slo[static_cast<size_t>(managed.client.priority())];
@@ -70,7 +79,7 @@ SloMigrator::tick()
         // Hysteresis: only move to a meaningfully better shard, so
         // two equally overloaded shards never trade clients.
         if (best == current ||
-            load[best] >= load[current] * cfg_.improvementFactor)
+            load[best] >= load[current] * kImprovementFactor)
             continue;
         if (!service_.migrateClient(managed.client, best))
             continue;

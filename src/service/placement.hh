@@ -61,15 +61,6 @@ struct SloMigratorConfig
      * breaches.
      */
     uint32_t cooldownTicks = 8;
-    /**
-     * The destination's load must be below the source's load times
-     * this factor, so clients never hop between two equally bad
-     * shards (the other half of the anti-ping-pong hysteresis).
-     */
-    double improvementFactor = 0.7;
-    /** Cap on migrations per tick() across all managed clients
-     * (prevents a stampede onto one momentarily idle shard). */
-    size_t maxMigrationsPerTick = 1;
 };
 
 /** One migration performed by the migrator (for studies/logs). */

@@ -151,9 +151,6 @@ TEST(DRange, RejectsBadConfig)
     cfg = config(true);
     cfg.banks = {module.geometry().banks};
     EXPECT_THROW(DRangeTrng(module, cfg), FatalError);
-    cfg = config(true);
-    cfg.probeRow = module.geometry().rowsPerBank;
-    EXPECT_THROW(DRangeTrng(module, cfg), FatalError);
 }
 
 } // anonymous namespace

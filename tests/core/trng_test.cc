@@ -186,7 +186,6 @@ TEST(QuacTrng, SerialAndParallelPipelinesByteIdentical)
     serial_cfg.parallelBanks = false;
     QuacTrngConfig parallel_cfg = cfg;
     parallel_cfg.parallelBanks = true;
-    parallel_cfg.bankThreads = 4;
 
     QuacTrng serial(module_serial, serial_cfg);
     QuacTrng parallel(module_parallel, parallel_cfg);

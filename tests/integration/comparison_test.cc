@@ -131,7 +131,7 @@ TEST_F(ComparisonTest, SystemStudyUsesScheduledIteration)
     cfg.profile = {7, 128, 128};
     auto stats = sched::simulateQuacTrng(timing, cfg);
     double iters = static_cast<double>(cfg.iterations -
-                                       cfg.warmupIterations);
+                                       sched::kQuacWarmupIterations);
 
     auto results = sysperf::runSystemStudy(
         stats.totalNs / iters, stats.bits / iters, 4, 1.0e6, 7);

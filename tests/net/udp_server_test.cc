@@ -3,14 +3,20 @@
  * Loopback tests for the epoll UDP front end: byte-for-byte replay
  * identity against the direct service API, silence + zero service
  * effect for malformed datagrams, the full DENY taxonomy (replay,
- * oversized, throttled, global cap, bulk backpressure), and the
+ * oversized, throttled, global cap, bulk backpressure), the
  * every-well-formed-request-gets-exactly-one-response accounting
- * under an open-loop burst.
+ * under an open-loop burst, and the load generator's open-loop
+ * latency under a sender stall.
  */
 
 #include <gtest/gtest.h>
 
+#include <pthread.h>
+
+#include <chrono>
+#include <csignal>
 #include <cstring>
+#include <ctime>
 #include <memory>
 #include <string>
 #include <thread>
@@ -197,26 +203,25 @@ TEST(UdpServer, ReplayedNonceIsDeniedNotServed)
 
 TEST(UdpServer, OversizedRequestsAreDeniedExplicitly)
 {
-    UdpServerConfig cfg;
-    cfg.maxPayloadBytes = 128;
-    ServerHarness harness(cfg);
+    ServerHarness harness;
     SyncClient client("127.0.0.1", harness.server->port(), 3);
 
-    SyncClient::Reply big = client.request(129);
+    SyncClient::Reply big = client.request(kMaxPayloadBytes + 1);
     ASSERT_TRUE(big.received);
     EXPECT_EQ(big.status, Status::DenyOversized);
     EXPECT_TRUE(big.payload.empty());
-    SyncClient::Reply fits = client.request(128);
+    SyncClient::Reply fits = client.request(kMaxPayloadBytes);
     ASSERT_TRUE(fits.received);
     EXPECT_EQ(fits.status, Status::Ok);
-    EXPECT_EQ(fits.payload.size(), 128u);
+    EXPECT_EQ(fits.payload.size(), kMaxPayloadBytes);
 }
 
 TEST(UdpServer, PerClientPacingThrottlesOnlyTheOffender)
 {
     UdpServerConfig cfg;
-    cfg.table.perClientBytesPerSec = 1.0; // refill is negligible
-    cfg.table.perClientBurstBytes = 64.0;
+    // The bucket holds one second's rate (64 B); refill over the
+    // test's round trips is negligible.
+    cfg.table.perClientBytesPerSec = 64.0;
     ServerHarness harness(cfg);
 
     SyncClient hog("127.0.0.1", harness.server->port(), 1);
@@ -234,8 +239,7 @@ TEST(UdpServer, PerClientPacingThrottlesOnlyTheOffender)
 TEST(UdpServer, GlobalCapDeniesWhenExhausted)
 {
     UdpServerConfig cfg;
-    cfg.globalBytesPerSec = 1.0;
-    cfg.globalBurstBytes = 64.0;
+    cfg.globalBytesPerSec = 64.0; // one second's burst: 64 B
     ServerHarness harness(cfg);
 
     SyncClient first("127.0.0.1", harness.server->port(), 1);
@@ -277,10 +281,8 @@ TEST(UdpServer, OverloadAccountingEveryRequestAnswered)
     // one response.
     UdpServerConfig cfg;
     cfg.table.capacity = 64;
-    cfg.table.perClientBytesPerSec = 4096.0;
-    cfg.table.perClientBurstBytes = 256.0;
-    cfg.globalBytesPerSec = 64.0 * 1024.0;
-    cfg.globalBurstBytes = 16.0 * 1024.0;
+    cfg.table.perClientBytesPerSec = 256.0;
+    cfg.globalBytesPerSec = 16.0 * 1024.0;
     ServerHarness harness(cfg);
 
     LoadGenConfig load;
@@ -311,6 +313,62 @@ TEST(UdpServer, OverloadAccountingEveryRequestAnswered)
         stats.deniesTotal();
     EXPECT_EQ(answered, stats.wellFormed);
     EXPECT_GT(harness.server->clientTable().stats().evictions, 0u);
+
+    // Eviction disconnects the service client: the registry stays
+    // bounded by the table (admission is off here, so no connect
+    // waits in the queue), and the aggregate counter still counts
+    // every request that reached the service, evicted clients'
+    // included.
+    EXPECT_LE(harness.service->clientCount(), cfg.table.capacity);
+    EXPECT_EQ(harness.service->requestsServed(),
+              stats.responses[size_t(Status::Ok)] +
+                  stats.responses[size_t(Status::Partial)] +
+                  stats.responses[size_t(Status::DenyService)]);
+}
+
+/** SIGUSR1 handler: stall the interrupted thread for 60 ms. */
+void
+stallSender(int)
+{
+    timespec left{0, 60 * 1000 * 1000};
+    while (nanosleep(&left, &left) != 0) {
+    }
+}
+
+TEST(LoadGen, SenderStallCountsTowardLatency)
+{
+    // Open-loop latency runs from each request's scheduled arrival.
+    // A signal handler stalls the sending thread for 60 ms mid-run:
+    // the ~600 requests that fell due meanwhile go out late, and
+    // their latency must include that wait. Stamped at send time,
+    // the tail would stay at the loopback round trip and hide the
+    // stall (coordinated omission).
+    ServerHarness harness;
+    struct sigaction stall = {};
+    stall.sa_handler = stallSender;
+    struct sigaction previous = {};
+    ASSERT_EQ(sigaction(SIGUSR1, &stall, &previous), 0);
+
+    pthread_t sender = pthread_self();
+    std::thread staller([sender] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        pthread_kill(sender, SIGUSR1);
+    });
+
+    LoadGenConfig load;
+    load.port = harness.server->port();
+    load.clients = 16;
+    load.requests = 2000;
+    load.ratePerSec = 10000.0; // 200 ms of arrivals
+    load.requestBytes = 32;
+    LoadGenResult result = runLoadGen(load);
+    staller.join();
+    sigaction(SIGUSR1, &previous, nullptr);
+
+    EXPECT_EQ(result.lost, 0u);
+    EXPECT_EQ(result.received, result.sent);
+    // The top 1% (20 requests) all waited out most of the stall.
+    EXPECT_GE(result.p99Ns, 30'000'000u);
 }
 
 } // namespace

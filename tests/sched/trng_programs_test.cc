@@ -88,7 +88,7 @@ TEST(QuacSchedule, LatencyIncludesShaCore)
 {
     QuacScheduleConfig cfg = quacConfig(InitMethod::RowClone, 4);
     auto stats = simulateQuacTrng(t2400, cfg);
-    EXPECT_GT(stats.latency256Ns, cfg.sha.latencyNs());
+    EXPECT_GT(stats.latency256Ns, kShaCore.latencyNs());
     EXPECT_LT(stats.latency256Ns, 2000.0);
 }
 
@@ -105,7 +105,7 @@ TEST(QuacSchedule, RejectsBadConfig)
     QuacScheduleConfig cfg = quacConfig(InitMethod::RowClone, 5);
     EXPECT_THROW(simulateQuacTrng(t2400, cfg), PanicError);
     cfg = quacConfig(InitMethod::RowClone, 4);
-    cfg.iterations = cfg.warmupIterations;
+    cfg.iterations = kQuacWarmupIterations;
     EXPECT_THROW(simulateQuacTrng(t2400, cfg), PanicError);
 }
 

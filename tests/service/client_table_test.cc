@@ -79,7 +79,7 @@ TEST(ClientTable, EvictsLeastRecentlySeenAtCapacity)
     ClientTable table(svc, {.capacity = 2});
 
     table.acquire(1, Priority::Standard, 0);
-    table.acquire(2, Priority::Standard, 0);
+    table.acquire(2, Priority::Standard, 0).entry->client.request(16);
     // Touch 1 so 2 becomes the LRU victim.
     table.acquire(1, Priority::Standard, 0);
     ClientTable::Acquire third =
@@ -87,6 +87,10 @@ TEST(ClientTable, EvictsLeastRecentlySeenAtCapacity)
     EXPECT_EQ(third.status, ClientTable::AcquireStatus::Created);
     EXPECT_EQ(table.size(), 2u);
     EXPECT_EQ(table.stats().evictions, 1u);
+    // The victim's service client went with it; its request still
+    // counts in the service aggregate.
+    EXPECT_EQ(svc.clientCount(), 2u);
+    EXPECT_EQ(svc.requestsServed(), 1u);
 
     // 1 survived; 2 was forgotten and re-enters as a fresh client
     // with a fresh nonce window.
@@ -138,8 +142,7 @@ TEST(ClientTable, PerClientPacingBucketFromConfig)
     EntropyService svc({&backend}, plainConfig());
     ClientTableConfig cfg;
     cfg.capacity = 4;
-    cfg.perClientBytesPerSec = 1000.0;
-    cfg.perClientBurstBytes = 100.0;
+    cfg.perClientBytesPerSec = 100.0; // bucket: one second, 100 B
     ClientTable table(svc, cfg);
 
     ClientTable::Entry &entry =
@@ -211,17 +214,17 @@ TEST(ClientTable, WireNameRoundTrip)
 {
     core::SoftwareTrng backend(35);
     EntropyService svc({&backend}, plainConfig());
-    ClientTable table(svc, {.capacity = 2, .namePrefix = "edge"});
+    ClientTable table(svc, {.capacity = 2});
 
     std::string name = table.wireName(0xDEADBEEFull);
-    EXPECT_EQ(name, "edge-00000000deadbeef");
+    EXPECT_EQ(name, "net-00000000deadbeef");
     uint64_t id = 0;
     ASSERT_TRUE(table.parseWireName(name, id));
     EXPECT_EQ(id, 0xDEADBEEFull);
 
     EXPECT_FALSE(table.parseWireName("other-00000000deadbeef", id));
-    EXPECT_FALSE(table.parseWireName("edge-xyz", id));
-    EXPECT_FALSE(table.parseWireName("edge-", id));
+    EXPECT_FALSE(table.parseWireName("net-xyz", id));
+    EXPECT_FALSE(table.parseWireName("net-", id));
     EXPECT_FALSE(table.parseWireName("", id));
 }
 

@@ -234,6 +234,38 @@ TEST(EntropyService, MaxRequestBytesDenies)
     EXPECT_TRUE(client.request(buf, 16).hit);
 }
 
+TEST(EntropyService, DisconnectFoldsCountersIntoAggregates)
+{
+    TaggedTrng backend(4);
+    EntropyService service({&backend}, {.shardCapacityBytes = 64,
+                                        .maxRequestBytes = 40});
+    service.refillBelowWatermark();
+    auto a = service.connect("a");
+    auto b = service.connect("b");
+    auto c = service.connect("c");
+    a.request(16); // hit, 48 B left
+    b.request(48); // denied
+    c.request(40); // hit, 8 B left
+    c.request(32); // miss: synchronous fill
+    EXPECT_EQ(service.clientCount(), 3u);
+
+    // Removing a middle entry swaps the last one into its slot; the
+    // moved client stays addressable and removable.
+    service.disconnect(b);
+    service.disconnect(a);
+    EXPECT_EQ(service.clientCount(), 1u);
+    EXPECT_EQ(service.requestsServed(), 4u);
+    EXPECT_EQ(service.bufferHits(), 2u);
+    EXPECT_EQ(service.denials(), 1u);
+    EXPECT_EQ(service.synchronousFills(), 1u);
+
+    c.request(8);
+    EXPECT_EQ(service.requestsServed(), 5u);
+    service.disconnect(c);
+    EXPECT_EQ(service.clientCount(), 0u);
+    EXPECT_EQ(service.requestsServed(), 5u);
+}
+
 TEST(EntropyService, BulkClassGetsBackpressureNotGeneratorTime)
 {
     TaggedTrng backend(7);
@@ -268,7 +300,7 @@ TEST(EntropyService, WatermarkGatesRefillAndChunksRoundUp)
     EntropyService service({&backend}, {.shardCapacityBytes = 100,
                                         .refillWatermark = 0.25});
     // Empty: 100 wanted -> 3 whole 48-byte chunks.
-    EXPECT_EQ(service.refillDemandBytes(), 144u);
+    EXPECT_EQ(service.refillDemand().bytes, 144u);
     EXPECT_EQ(service.refillBelowWatermark(), 144u);
     EXPECT_EQ(service.level(0), 144u);
 
@@ -323,8 +355,8 @@ TEST(EntropyService, UrgentDemandTracksPanicWatermark)
     uint8_t buf[128];
     c0.request(buf, 95); // level 5 <= 12.5: panic
     c1.request(buf, 60); // level 40 <= 50: refill, not panic
-    EXPECT_EQ(service.refillDemandBytes(), 95u + 60u);
-    EXPECT_EQ(service.urgentDemandBytes(), 95u);
+    EXPECT_EQ(service.refillDemand().bytes, 95u + 60u);
+    EXPECT_EQ(service.refillDemand().urgentBytes, 95u);
 }
 
 TEST(EntropyService, ConcurrentDrainDuringBackgroundRefill)

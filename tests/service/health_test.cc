@@ -34,10 +34,8 @@ testHealthConfig()
     HealthConfig cfg;
     cfg.enabled = true;
     cfg.windowBits = 1024; // 128 bytes
-    cfg.alphaExponent = 40;
     cfg.failWindowLimit = 2;
     cfg.probationWindows = 3;
-    cfg.readFailureLimit = 3;
     return cfg;
 }
 
@@ -111,7 +109,7 @@ TEST(HealthMonitor, QuarantineAfterConsecutiveFailingWindows)
 
     BankScore score = monitor.score(0);
     EXPECT_EQ(score.windowsFailed, 3u);
-    EXPECT_LT(score.lastMinP, monitor.config().pValueCutoff);
+    EXPECT_LT(score.lastMinP, kPValueCutoff);
 }
 
 TEST(HealthMonitor, ProbationThenReadmission)
@@ -222,12 +220,6 @@ TEST(HealthMonitor, ValidatesConfiguration)
     cfg = testHealthConfig();
     cfg.probationWindows = 0;
     EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
-    cfg = testHealthConfig();
-    cfg.readFailureLimit = 0;
-    EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
-    cfg = testHealthConfig();
-    cfg.pValueCutoff = 1.0;
-    EXPECT_THROW(HealthMonitor(2, cfg), FatalError);
 }
 
 // --------------------------------------------- service integration
@@ -251,9 +243,6 @@ TEST(ServiceHealth, ConfigValidatedThroughServiceCtor)
     core::SoftwareTrng backend(1);
     EntropyServiceConfig cfg = testServiceConfig(1, true);
     cfg.health.windowBits = 0;
-    EXPECT_THROW(EntropyService({&backend}, cfg), FatalError);
-    cfg = testServiceConfig(1, true);
-    cfg.health.entropyPerBit = 2.0;
     EXPECT_THROW(EntropyService({&backend}, cfg), FatalError);
     // The same nonsense with health disabled is accepted (knobs are
     // never read).
@@ -402,7 +391,7 @@ TEST(ServiceHealth, SyncFillFailsOverToServableBank)
     std::vector<uint8_t> got = client.request(64);
     ASSERT_EQ(got.size(), 64u);
     EXPECT_EQ(svc.healthStats().refillFailures,
-              cfg.health.readFailureLimit);
+              kReadFailureLimit);
     EXPECT_EQ(svc.healthMonitor()->state(0),
               BankState::Quarantined);
     EXPECT_EQ(svc.shardBackendIndex(0), 1u);

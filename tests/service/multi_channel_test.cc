@@ -185,18 +185,20 @@ TEST(MultiChannelScheduler, ChannelsRefillOnlyTheirPlacedShards)
     EXPECT_LT(harness.service->level(3), size_t{1} << 12);
 }
 
-TEST(MultiChannelScheduler, PerChannelFairnessPolicies)
+TEST(MultiChannelScheduler, FairnessPolicyAppliesToEveryChannel)
 {
-    // Same busy co-runner on both channels, but channel 0 arbitrates
-    // rng-priority while channel 1 runs fcfs: channel 0 steals from
-    // demand traffic and keeps its shards topped up; channel 1 never
-    // steals and falls behind.
-    auto drive = [](MultiChannelRefillConfig cfg) {
+    // Same busy co-runner on both channels of two pools: the
+    // rng-priority pool steals from demand traffic on each channel
+    // and keeps its shards topped up; the fcfs pool never steals and
+    // falls behind on each channel.
+    auto drive = [](sysperf::FairnessPolicy policy) {
         Harness harness(4, 1 << 14);
         std::vector<sysperf::WorkloadProfile> traffic = {
             {"busy", 0.90, 2000.0}, {"busy", 0.90, 2000.0}};
-        MultiChannelRefillScheduler scheduler(*harness.service,
-                                              traffic, cfg);
+        MultiChannelRefillScheduler scheduler(
+            *harness.service, traffic, multiConfig(2, policy));
+        EXPECT_EQ(scheduler.channelPolicy(0), policy);
+        EXPECT_EQ(scheduler.channelPolicy(1), policy);
         std::vector<EntropyService::Client> clients;
         for (size_t s = 0; s < 4; ++s) {
             clients.push_back(harness.service->connect(
@@ -213,33 +215,12 @@ TEST(MultiChannelScheduler, PerChannelFairnessPolicies)
             scheduler.channelTotal(1).bytesRefilled);
     };
 
-    MultiChannelRefillConfig split =
-        multiConfig(2, sysperf::FairnessPolicy::Fcfs);
-    split.channelPolicies = {sysperf::FairnessPolicy::RngPriority,
-                             sysperf::FairnessPolicy::Fcfs};
-    auto [rng_channel, fcfs_channel] = drive(split);
-    EXPECT_GT(rng_channel, 2 * fcfs_channel)
-        << "the rng-priority channel out-refills the fcfs one";
-
-    Harness harness(4, 1 << 14);
-    MultiChannelRefillConfig mismatched =
-        multiConfig(2, sysperf::FairnessPolicy::Fcfs);
-    mismatched.channelPolicies = {sysperf::FairnessPolicy::Fcfs};
-    EXPECT_THROW(MultiChannelRefillScheduler(
-                     *harness.service,
-                     {{"a", 0.1, 80.0}, {"b", 0.1, 80.0}}, mismatched),
-                 FatalError)
-        << "1 channel policy for 2 channels";
-
-    MultiChannelRefillConfig broadcast =
-        multiConfig(2, sysperf::FairnessPolicy::BufferedFair);
-    MultiChannelRefillScheduler pool(
-        *harness.service, {{"a", 0.1, 80.0}, {"b", 0.1, 80.0}},
-        broadcast);
-    EXPECT_EQ(pool.channelPolicy(0),
-              sysperf::FairnessPolicy::BufferedFair);
-    EXPECT_EQ(pool.channelPolicy(1),
-              sysperf::FairnessPolicy::BufferedFair);
+    auto [rng0, rng1] = drive(sysperf::FairnessPolicy::RngPriority);
+    auto [fcfs0, fcfs1] = drive(sysperf::FairnessPolicy::Fcfs);
+    EXPECT_GT(rng0, 2 * fcfs0)
+        << "rng-priority out-refills fcfs on channel 0";
+    EXPECT_GT(rng1, 2 * fcfs1)
+        << "rng-priority out-refills fcfs on channel 1";
 }
 
 // --------------------------------------------------- rebalancing

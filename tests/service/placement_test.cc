@@ -113,7 +113,6 @@ TEST(Placement, LoadScoreIncludesRecentLatencyTail)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
     EntropyService service({&b0, &b1}, cfg);
 
     // Shard 0's client misses to synchronous fills (big modelled
@@ -137,7 +136,6 @@ TEST(Placement, LoadScoreIncludesQueuedWorkHorizon)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
     EntropyService service({&b0, &b1}, cfg);
 
     // Timed misses commit backend work past the newest arrival; a
@@ -215,7 +213,6 @@ TEST(Placement, FullRefillRetiresStaleLatencyTail)
     TaggedTrng b1(20, 64);
     EntropyServiceConfig cfg;
     cfg.shardCapacityBytes = 128;
-    cfg.latency = {20.0, 5.0, 2.0};
     EntropyService service({&b0, &b1}, cfg);
 
     auto victim = service.connect("victim", Priority::Standard, 0);
@@ -275,8 +272,7 @@ struct BreachHarness
 
     BreachHarness()
         : service({&b0, &b1},
-                  {.shardCapacityBytes = 512,
-                   .latency = {20.0, 5.0, 2.0}}),
+                  {.shardCapacityBytes = 512}),
           victim(service.connect("victim", Priority::Interactive, 0))
     {
         service.refillBelowWatermark();
@@ -334,8 +330,7 @@ TEST(SloMigrator, StaysPutWhenNoShardIsMeaningfullyBetter)
     TaggedTrng b0(10, 64);
     TaggedTrng b1(20, 64);
     EntropyService service({&b0, &b1},
-                           {.shardCapacityBytes = 512,
-                            .latency = {20.0, 5.0, 2.0}});
+                           {.shardCapacityBytes = 512});
     auto victim = service.connect("victim", Priority::Interactive, 0);
     auto peer = service.connect("peer", Priority::Interactive, 1);
 
@@ -343,7 +338,6 @@ TEST(SloMigrator, StaysPutWhenNoShardIsMeaningfullyBetter)
     cfg.slo[0] = {400.0, 0.0};
     cfg.breachTicks = 1;
     cfg.cooldownTicks = 0;
-    cfg.maxMigrationsPerTick = 8;
     SloMigrator migrator(service, cfg);
     migrator.manage(victim);
     migrator.manage(peer);
@@ -389,9 +383,6 @@ TEST(SloMigrator, RejectsBadConfig)
     SloMigratorConfig zero_breach;
     zero_breach.breachTicks = 0;
     EXPECT_THROW(SloMigrator(service, zero_breach), FatalError);
-    SloMigratorConfig bad_factor;
-    bad_factor.improvementFactor = 1.5;
-    EXPECT_THROW(SloMigrator(service, bad_factor), FatalError);
 }
 
 } // anonymous namespace

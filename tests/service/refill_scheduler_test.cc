@@ -140,7 +140,7 @@ TEST(SingleChannelRefill, BufferedFairEscalatesOnlyUrgentDemand)
                          .refillWatermark = 1.0,
                          .panicWatermark = 0.0});
     calm.refillTick(1024); // lift the level above the empty = panic
-    ASSERT_EQ(calm.urgentDemandBytes(), 0u);
+    ASSERT_EQ(calm.refillDemand().urgentBytes, 0u);
     MultiChannelRefillConfig cfg =
         schedulerConfig(sysperf::FairnessPolicy::BufferedFair);
     MultiChannelRefillScheduler calm_scheduler(calm, {kLbm}, cfg);
