@@ -146,15 +146,23 @@ private:
 };
 
 /*
- * Condition variable usable with Mutex.  Only the timed, predicate-
- * free wait is exposed: predicate lambdas cannot carry REQUIRES
- * clauses, so callers re-check their (guarded) predicate in a loop
- * around waitFor() instead, which the analysis can follow.
+ * Condition variable usable with Mutex.  Only predicate-free waits are
+ * exposed: predicate lambdas cannot carry REQUIRES clauses, so callers
+ * re-check their (guarded) predicate in a loop around wait()/waitFor()
+ * instead, which the analysis can follow.
  */
 class CondVar {
 public:
     void notifyOne() { cv_.notify_one(); }
     void notifyAll() { cv_.notify_all(); }
+
+    /* Atomically releases `m`, waits for a notify (or a spurious
+     * wakeup), and re-acquires `m` before returning. */
+    void wait(Mutex &m) QUAC_REQUIRES(m)
+    {
+        LockRef ref{m};
+        cv_.wait(ref);
+    }
 
     /* Atomically releases `m`, waits up to `timeout` (or a notify),
      * and re-acquires `m` before returning. */

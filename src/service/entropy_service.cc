@@ -132,6 +132,14 @@ constexpr double kPerRequestNs = 5.0;
  */
 constexpr double kMissNsPerByte = 2.0;
 
+/** Level (bytes) at or below which a shard of @p capacity counts as
+ * at the watermark @p frac. */
+size_t
+watermarkBytes(double frac, size_t capacity)
+{
+    return static_cast<size_t>(frac * static_cast<double>(capacity));
+}
+
 } // anonymous namespace
 
 /**
@@ -306,11 +314,14 @@ EntropyService::ringTake(Shard &shard, uint8_t *out, size_t len,
         take = static_cast<size_t>(std::min<uint64_t>(len, avail));
         if (take == 0 || (all_or_nothing && take < len))
             return 0;
-        // relaxed: CAS failure order — the reloaded claim is retried;
-        // success publishes with acq_rel.
+        // relaxed: CAS failure order — the reloaded claim is retried.
+        // Success is seq_cst, which compiles to the same instruction
+        // as acq_rel on x86-64 and AArch64: this claim is the drain
+        // the refill thread's wake protocol must not miss (see
+        // armAndCheckIdle).
         if (shard.claim.compare_exchange_weak(
                 claim, packCursor(gen, pos + take),
-                std::memory_order_acq_rel,
+                std::memory_order_seq_cst,
                 std::memory_order_relaxed))
             break;
         // claim reloaded by the failed CAS; recompute and retry.
@@ -352,9 +363,10 @@ EntropyService::ringFlushLocked(Shard &shard)
         uint64_t dropped = cursorPos(tail) - cursorPos(claim);
         if (dropped == 0)
             return 0;
-        // relaxed: CAS failure order of the retry loop.
+        // relaxed: CAS failure order of the retry loop. Success is
+        // seq_cst for the refill wake protocol, as in ringTake.
         if (shard.claim.compare_exchange_weak(
-                claim, tail, std::memory_order_acq_rel,
+                claim, tail, std::memory_order_seq_cst,
                 std::memory_order_relaxed))
             break;
     }
@@ -369,6 +381,7 @@ EntropyService::ringFlushLocked(Shard &shard)
     while (shard.readDone.load(std::memory_order_acquire) != claim)
         std::this_thread::yield();
     shard.readDone.store(tail, std::memory_order_release);
+    wakeRefill();
     return static_cast<size_t>(cursorPos(tail) - cursorPos(claim));
 }
 
@@ -454,8 +467,7 @@ EntropyService::pullLocked(Shard &shard, size_t want)
                                              want - first);
             }
             if (changed)
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
+                bumpResourceEpoch();
             // A state transition during this very pull marks the
             // whole span suspect even if the bank ended it servable
             // (a large pull over a bounded fault can quarantine AND
@@ -470,7 +482,7 @@ EntropyService::pullLocked(Shard &shard, size_t want)
     if (failed) {
         refillFailures_.fetch_add(1, std::memory_order_relaxed);
         if (monitor_ && monitor_->reportReadFailure(backend_index))
-            resourceEpoch_.fetch_add(1, std::memory_order_acq_rel);
+            bumpResourceEpoch();
         if (monitor_ && !monitor_->servable(backend_index)) {
             // Repeated failures crossed the quarantine limit: the
             // buffered bytes are from a now-detected-unhealthy bank.
@@ -529,6 +541,7 @@ EntropyService::moveShardLocked(Shard &shard, size_t target)
     // relaxed: monotonic stats counter; readers take snapshots and
     // need no ordering.
     resourcings_.fetch_add(1, std::memory_order_relaxed);
+    wakeRefill();
 }
 
 void
@@ -601,8 +614,7 @@ size_t
 EntropyService::deficitLocked(Shard &shard, double frac)
 {
     size_t capacity = cfg_.shardCapacityBytes;
-    size_t threshold =
-        static_cast<size_t>(frac * static_cast<double>(capacity));
+    size_t threshold = watermarkBytes(frac, capacity);
     size_t buffered = levelOf(shard);
     if (buffered > threshold)
         return 0;
@@ -618,6 +630,10 @@ EntropyService::deficitLocked(Shard &shard, double frac)
 size_t
 EntropyService::refillShard(Shard &shard)
 {
+    // A full, revalidated shard costs no mutex: under it,
+    // revalidateLocked and deficitLocked would both return at once.
+    if (!belowWatermark(shard) && !epochStale(shard))
+        return 0;
     MutexLock lock(shard.mutex);
     revalidateLocked(shard);
     size_t want = deficitLocked(shard, cfg_.refillWatermark);
@@ -724,34 +740,141 @@ EntropyService::refillDemand(const std::vector<size_t> &shards)
     return demand;
 }
 
+bool
+EntropyService::belowWatermark(const Shard &shard) const
+{
+    size_t buffered = levelOf(shard);
+    return buffered <= watermarkBytes(cfg_.refillWatermark,
+                                      cfg_.shardCapacityBytes) &&
+           buffered < cfg_.shardCapacityBytes;
+}
+
+bool
+EntropyService::epochStale(const Shard &shard) const
+{
+    // seenEpoch is published with release after any flush or
+    // re-sourcing (revalidateLocked); resourceEpoch_ only advances
+    // under health monitoring.
+    return shard.seenEpoch.load(std::memory_order_acquire) !=
+           resourceEpoch_.load(std::memory_order_acquire);
+}
+
+void
+EntropyService::wakeRefill()
+{
+    // seq_cst: the waker's half of the protocol in armAndCheckIdle.
+    // The plain load keeps callers off the flag's cache line for
+    // writing while a wake is already pending; only the exchange that
+    // disarms the flag goes on to notify.
+    if (!refillArmed_.load(std::memory_order_seq_cst) ||
+        !refillArmed_.exchange(false, std::memory_order_seq_cst))
+        return;
+    {
+        MutexLock lock(refillMutex_);
+        refillWake_ = true;
+    }
+    // Notified after the unlock, so the woken thread does not block
+    // again on the mutex this caller still holds.
+    refillCv_.notifyOne();
+}
+
+void
+EntropyService::bumpResourceEpoch()
+{
+    // seq_cst: a bump must be seen by the refill thread's idle scan
+    // or disarm it (armAndCheckIdle).
+    resourceEpoch_.fetch_add(1, std::memory_order_seq_cst);
+    wakeRefill();
+}
+
+bool
+EntropyService::armAndCheckIdle()
+{
+    // No lost wake-ups. A drain is a seq_cst claim CAS followed by a
+    // seq_cst load of the flag (finishRequest); a flush or epoch bump
+    // is a seq_cst RMW followed by the same load (wakeRefill). Here
+    // the flag is stored before the scan, with a seq_cst fence in
+    // between. In the single total order either the fence comes
+    // first, so the waker's load sees the flag armed and wakes the
+    // thread, or the waker's RMW comes first, so the scan below sees
+    // its effect and the thread keeps its timed wait.
+    refillArmed_.store(true, std::memory_order_seq_cst);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (const auto &shard : shards_) {
+        if (belowWatermark(*shard) || epochStale(*shard))
+            return false;
+    }
+    if (monitor_) {
+        for (size_t b = 0; b < backends_.size(); ++b) {
+            BankState state = monitor_->state(b);
+            if (state == BankState::Quarantined ||
+                state == BankState::Probation)
+                return false;
+        }
+    }
+    return true;
+}
+
+void
+EntropyService::autoRefillLoop(std::chrono::microseconds period,
+                               bool idle)
+{
+    // The stop-flag and wake rechecks live in the loop, not in a wait
+    // predicate: a predicate lambda cannot carry the REQUIRES
+    // annotation, and the analysis follows this shape. A spurious
+    // wakeup at worst runs one pass early.
+    MutexLock lock(refillMutex_);
+    while (!stopRefill_) {
+        if (!refillWake_) {
+            // Nothing pending: sleep until a waker. Otherwise the
+            // period is the retry and probation-draw cadence.
+            if (idle)
+                refillCv_.wait(refillMutex_);
+            else
+                refillCv_.waitFor(refillMutex_, period);
+        }
+        if (stopRefill_)
+            break;
+        refillWake_ = false;
+        lock.unlock();
+        // Disarmed for the pass: wakers pay one load, and whatever
+        // they changed meanwhile is caught by the rescan after it.
+        // relaxed: the rescan's seq_cst store and fence order the
+        // flag; a stale true here costs at most one extra pass.
+        refillArmed_.store(false, std::memory_order_relaxed);
+        autoRefillWakeups_.fetch_add(1, std::memory_order_relaxed);
+        refillBelowWatermark();
+        // Probation draws and eager transition propagation ride
+        // the same wakes as the top-ups.
+        healthTick();
+        idle = armAndCheckIdle();
+        lock.lock();
+    }
+}
+
 void
 EntropyService::startAutoRefill(std::chrono::microseconds period)
 {
+    // A timed wait of zero or less returns at once: the thread would
+    // spin a core on back-to-back passes.
+    if (period <= std::chrono::microseconds::zero())
+        fatal("auto-refill period must be > 0 us (got %lld)",
+              static_cast<long long>(period.count()));
     MutexLock control(refillControlMutex_);
     if (refillThread_.joinable())
         return;
     {
         MutexLock lock(refillMutex_);
         stopRefill_ = false;
+        refillWake_ = false;
     }
-    refillThread_ = std::thread([this, period]() {
-        // The stop-flag recheck lives in the loop, not in a wait
-        // predicate: a predicate lambda cannot carry the REQUIRES
-        // annotation, and the analysis follows this shape. A
-        // spurious wakeup at worst runs one top-up early.
-        MutexLock lock(refillMutex_);
-        while (!stopRefill_) {
-            refillCv_.waitFor(refillMutex_, period);
-            if (stopRefill_)
-                break;
-            lock.unlock();
-            refillBelowWatermark();
-            // Probation draws and eager transition propagation ride
-            // the same cadence as the background top-ups.
-            healthTick();
-            lock.lock();
-        }
-    });
+    // Armed before this returns, so every drain after it wakes the
+    // thread. No pass runs here: with the shards still empty the
+    // thread first waits one period, as before, while the caller's
+    // first request sync-fills.
+    bool idle = armAndCheckIdle();
+    refillThread_ = std::thread(
+        [this, period, idle]() { autoRefillLoop(period, idle); });
 }
 
 void
@@ -767,6 +890,8 @@ EntropyService::stopAutoRefill()
     refillCv_.notifyAll();
     refillThread_.join();
     refillThread_ = std::thread();
+    // With no thread, the request path is back to one load.
+    refillArmed_.store(false, std::memory_order_seq_cst);
 }
 
 bool
@@ -1229,8 +1354,7 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
                 changed = monitor_->observe(backend_index, out,
                                             need);
                 if (changed)
-                    resourceEpoch_.fetch_add(
-                        1, std::memory_order_acq_rel);
+                    bumpResourceEpoch();
             }
         }
         // relaxed: monotonic stats counter(s); readers take snapshots
@@ -1238,8 +1362,7 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
         if (!ok) {
             refillFailures_.fetch_add(1, std::memory_order_relaxed);
             if (monitor_->reportReadFailure(backend_index))
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
+                bumpResourceEpoch();
         }
         // As in pullLocked, any transition during this fill marks
         // its bytes suspect even if the bank ended servable.
@@ -1274,6 +1397,19 @@ EntropyService::finishRequest(Client::State &client, Shard &shard,
                               size_t synchronous_bytes,
                               double arrival_ns)
 {
+    // A request that drained buffered bytes may have left the shard
+    // at or below the watermark: wake the refill thread. Requests
+    // that took nothing changed no level, so a shard whose refills
+    // keep failing is retried on the thread's period, not per
+    // request. The flag load comes first, so this costs one load
+    // while no thread runs or a wake is pending; seq_cst (on x86-64
+    // the same plain load as relaxed) pairs it with this request's
+    // claim CAS (armAndCheckIdle).
+    if (result.bytesFromBuffer > 0 &&
+        refillArmed_.load(std::memory_order_seq_cst) &&
+        belowWatermark(shard))
+        wakeRefill();
+
     // Tripwire (must stay zero): a serve that raced a cross-shard
     // detection of its bank. The flush-on-revalidate plumbing keeps
     // detected-unhealthy bytes out of every serve path; this counts
@@ -1468,12 +1604,15 @@ EntropyService::healthTick()
     // consumer, so its stream stays deterministic for the eventual
     // return home.
     size_t window_bytes = cfg_.health.windowBits / 8;
-    std::vector<uint8_t> scratch(window_bytes);
+    // Allocated on the first draw: a tick with every bank servable
+    // allocates nothing.
+    std::vector<uint8_t> scratch;
     for (size_t b = 0; b < backends_.size(); ++b) {
         BankState state = monitor_->state(b);
         if (state != BankState::Quarantined &&
             state != BankState::Probation)
             continue;
+        scratch.resize(window_bytes);
         bool ok = true;
         {
             MutexLock backend_lock(
@@ -1485,22 +1624,24 @@ EntropyService::healthTick()
             }
             if (ok && monitor_->observe(b, scratch.data(),
                                         window_bytes))
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
+                bumpResourceEpoch();
         }
         // relaxed: monotonic stats counter(s); readers take snapshots
         // and need no ordering.
         if (!ok) {
             refillFailures_.fetch_add(1, std::memory_order_relaxed);
             if (monitor_->reportReadFailure(b))
-                resourceEpoch_.fetch_add(1,
-                                         std::memory_order_acq_rel);
+                bumpResourceEpoch();
         }
     }
     // Eagerly propagate pending transitions: without this a shard
-    // would only flush/re-source on its next request or refill.
+    // would only flush/re-source on its next request or refill. A
+    // shard already revalidated against the current epoch is skipped
+    // without its mutex (revalidateLocked would return at once).
     for (auto &shard_ptr : shards_) {
         Shard &shard = *shard_ptr;
+        if (!epochStale(shard))
+            continue;
         MutexLock lock(shard.mutex);
         revalidateLocked(shard);
     }

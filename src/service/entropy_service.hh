@@ -11,8 +11,10 @@
  * (bulk) when drained. Refill is decoupled from the request path:
  * refillBelowWatermark()/refillTick() top shards up in whole backend
  * iterations, either unbudgeted, under a channel-time budget from the
- * scheduler-aware MultiChannelRefillScheduler, or continuously from a
- * background thread (startAutoRefill).
+ * scheduler-aware MultiChannelRefillScheduler, or on demand from a
+ * background thread (startAutoRefill) that sleeps until a request
+ * drains a shard to its watermark, a ring is flushed or re-sourced, or
+ * a health transition is pending.
  *
  * Determinism: each shard drains its backend strictly in stream
  * order (refills and synchronous fills both advance the same
@@ -545,10 +547,18 @@ class EntropyService
                       const std::vector<size_t> &shards);
 
     /**
-     * Start the background refill thread: every @p period it tops up
-     * shards below the watermark, modelling the memory controller's
-     * continuous idle-bandwidth top-ups. Idempotent; stopped by
-     * stopAutoRefill() or destruction.
+     * Start the background refill thread, modelling the memory
+     * controller's idle-bandwidth top-ups. The thread sleeps until
+     * there is work: a request that leaves its shard at or below the
+     * watermark, a flushed or re-sourced ring, or a health transition
+     * (resource epoch advance) wakes it, and it then tops up only the
+     * shards below the watermark and runs healthTick(). While a shard
+     * stays below the watermark (a failed pull) or a bank is
+     * Quarantined or in Probation, it also wakes every @p period: the
+     * retry and probation-draw cadence. With every shard above the
+     * watermark and every bank servable it sleeps without a timeout.
+     * @p period must be > 0 (fatal() otherwise). Idempotent; stopped
+     * by stopAutoRefill() or destruction.
      */
     void startAutoRefill(std::chrono::microseconds period);
     void stopAutoRefill();
@@ -568,6 +578,12 @@ class EntropyService
     uint64_t denials() const;
     uint64_t refills() const { return refills_.load(); }
     uint64_t bytesRefilled() const { return bytesRefilled_.load(); }
+    /** Times the auto-refill thread woke and ran a refill pass. */
+    uint64_t autoRefillWakeups() const
+    {
+        // relaxed: monotonic stats counter; readers need no ordering.
+        return autoRefillWakeups_.load(std::memory_order_relaxed);
+    }
     /**@}*/
 
     /** @name Health monitoring (cfg.health.enabled) */
@@ -609,8 +625,10 @@ class EntropyService
      * without client traffic) and eagerly propagates pending
      * quarantine/re-admission transitions to every shard (flush +
      * re-source). The refill schedulers call this once per tick; the
-     * auto-refill thread calls it once per period. No-op when health
-     * is disabled.
+     * auto-refill thread calls it once per wake. Takes no shard lock
+     * and allocates nothing unless a bank is Quarantined or in
+     * Probation or a transition is pending. No-op when health is
+     * disabled.
      */
     void healthTick();
 
@@ -840,6 +858,37 @@ class EntropyService
     /** Top one shard up to capacity; returns bytes added. */
     size_t refillShard(Shard &shard);
 
+    /** Would refillShard() pull anything from @p shard's level
+     * alone (at or below the watermark, below capacity)? Wait-free. */
+    bool belowWatermark(const Shard &shard) const;
+
+    /** Has a health transition happened that @p shard has not yet
+     * revalidated against? Wait-free; false without monitoring. */
+    bool epochStale(const Shard &shard) const;
+
+    /**
+     * Wake the auto-refill thread if it is armed (running, no wake
+     * pending). Only the caller that disarms it touches refillMutex_
+     * and the condition variable; every other caller pays one load.
+     */
+    void wakeRefill() QUAC_EXCLUDES(refillMutex_);
+
+    /** Advance resourceEpoch_ (a health transition) and wake the
+     * auto-refill thread so the transition propagates. */
+    void bumpResourceEpoch();
+
+    /** The auto-refill thread's body (see startAutoRefill); @p idle
+     * is the start-up armAndCheckIdle() result. */
+    void autoRefillLoop(std::chrono::microseconds period, bool idle)
+        QUAC_EXCLUDES(refillMutex_);
+
+    /**
+     * Arm the wake flag, then report whether the thread may sleep
+     * without a timeout: every shard above the watermark and
+     * revalidated, and no bank Quarantined or in Probation.
+     */
+    bool armAndCheckIdle();
+
     /** Sum of one per-client counter over the live clients plus the
      * disconnected ones' folded totals. */
     uint64_t sumClients(
@@ -856,8 +905,11 @@ class EntropyService
     /**
      * Shared request epilogue for the lock-free hit path and the
      * mutex slow path: the unhealthy-serve tripwire, the
-     * modelled-latency bookkeeping (timed requests), and the
-     * per-client stat accumulators. Takes no lock.
+     * modelled-latency bookkeeping (timed requests), the per-client
+     * stat accumulators, and the refill-thread wake of a request that
+     * drained the shard to its watermark. Takes no lock, except that
+     * the one request that wakes the thread briefly takes
+     * refillMutex_.
      */
     RequestResult finishRequest(Client::State &client, Shard &shard,
                                 RequestResult result,
@@ -928,6 +980,7 @@ class EntropyService
 
     std::atomic<uint64_t> refills_{0};
     std::atomic<uint64_t> bytesRefilled_{0};
+    std::atomic<uint64_t> autoRefillWakeups_{0};
 
     /** Installed sync-fill rate; 0 = use kMissNsPerByte. */
     std::atomic<double> missNsPerByte_{0.0};
@@ -940,12 +993,23 @@ class EntropyService
     std::atomic<double> latestArrivalNs_{0.0};
 
     /** Guards the refillThread_ object itself (start/stop/running);
-     * refillMutex_ only covers the worker's stop-flag wait. */
+     * refillMutex_ only covers the worker's wait and its two flags.
+     * refillMutex_ is a leaf: nothing else is locked under it, so
+     * wakers may take it while holding shard or backend locks. */
     mutable Mutex refillControlMutex_;
     std::thread refillThread_ QUAC_GUARDED_BY(refillControlMutex_);
     Mutex refillMutex_;
     CondVar refillCv_;
     bool stopRefill_ QUAC_GUARDED_BY(refillMutex_) = false;
+    /** A wake was requested since the thread last went to sleep. */
+    bool refillWake_ QUAC_GUARDED_BY(refillMutex_) = false;
+    /**
+     * True while the refill thread runs, has finished its last pass
+     * and no wake is pending. A waker exchanges it to false, so the
+     * request path pays one load while a wake is already pending or
+     * no thread runs, and only the one disarming caller notifies.
+     */
+    std::atomic<bool> refillArmed_{false};
 };
 
 } // namespace quac::service

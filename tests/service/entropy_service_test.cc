@@ -396,6 +396,126 @@ TEST(EntropyService, ConcurrentDrainDuringBackgroundRefill)
     expectStreamContinuity(stream, 42);
 }
 
+TEST(EntropyService, AutoRefillRejectsNonPositivePeriod)
+{
+    // A timed wait of zero or less returns at once, so the thread
+    // would spin a core on back-to-back refill passes.
+    TaggedTrng backend(1);
+    EntropyService service({&backend}, {.shardCapacityBytes = 64});
+    EXPECT_THROW(service.startAutoRefill(std::chrono::microseconds(0)),
+                 FatalError);
+    EXPECT_THROW(service.startAutoRefill(std::chrono::microseconds(-5)),
+                 FatalError);
+    EXPECT_FALSE(service.autoRefillRunning());
+}
+
+TEST(EntropyService, WatermarkCrossingWakesRefillThread)
+{
+    // Full shard, so the thread starts in its untimed sleep. The
+    // period is far beyond the deadline below: only the wake of the
+    // request that crosses the watermark can refill the shard in
+    // time.
+    TaggedTrng backend(7, 64);
+    EntropyService service({&backend}, {.shardCapacityBytes = 1024,
+                                        .refillWatermark = 0.5});
+    service.refillBelowWatermark();
+    ASSERT_EQ(service.level(0), 1024u);
+    service.startAutoRefill(std::chrono::seconds(60));
+    auto client = service.connect("drain");
+
+    std::vector<uint8_t> stream;
+    uint8_t buf[100];
+    // Requests only: the sixth leaves 424 <= 512 buffered bytes.
+    for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE(client.request(buf, sizeof(buf)).hit);
+        stream.insert(stream.end(), buf, buf + sizeof(buf));
+    }
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (service.level(0) <= 512 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(service.level(0), 512u);
+    EXPECT_GE(service.autoRefillWakeups(), 1u);
+
+    // The stream continues seamlessly across the background refill.
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(client.request(buf, sizeof(buf)).bytes, sizeof(buf));
+        stream.insert(stream.end(), buf, buf + sizeof(buf));
+    }
+    expectStreamContinuity(stream, 7);
+
+    auto t0 = std::chrono::steady_clock::now();
+    service.stopAutoRefill();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(5));
+}
+
+TEST(EntropyService, WakeHammerWithRacingStop)
+{
+    // Callers on every shard keep crossing the watermark while the
+    // refill thread is started and stopped under them. No wake may
+    // hang a stop, and no byte may be lost or reordered.
+    constexpr size_t nshards = 4;
+    std::vector<TaggedTrng> backends;
+    backends.reserve(nshards);
+    for (size_t s = 0; s < nshards; ++s)
+        backends.emplace_back(static_cast<uint8_t>(10 * (s + 1)), 32);
+    std::vector<core::Trng *> pool;
+    for (auto &backend : backends)
+        pool.push_back(&backend);
+    EntropyService service(pool, {.shardCapacityBytes = 256,
+                                  .refillWatermark = 0.5});
+
+    std::atomic<size_t> running{nshards};
+    std::vector<std::vector<uint8_t>> streams(nshards);
+    std::vector<std::thread> callers;
+    for (size_t s = 0; s < nshards; ++s) {
+        callers.emplace_back([&, s] {
+            auto client = service.connect("c" + std::to_string(s),
+                                          Priority::Standard, s);
+            uint8_t buf[48];
+            for (size_t i = 0; i < 10000; ++i) {
+                size_t len = 1 + (i * 7 + s) % sizeof(buf);
+                EXPECT_EQ(client.request(buf, len).bytes, len);
+                streams[s].insert(streams[s].end(), buf, buf + len);
+            }
+            running.fetch_sub(1);
+        });
+    }
+    // A 60 s period: every background refill here comes from a
+    // demand wake, and a stop that failed to reach a sleeping thread
+    // would blow the bound. Each round starts from topped-up shards,
+    // so the callers' drains have a watermark to cross.
+    while (running.load() > 0) {
+        service.refillBelowWatermark();
+        service.startAutoRefill(std::chrono::seconds(60));
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        auto t0 = std::chrono::steady_clock::now();
+        service.stopAutoRefill();
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(5));
+    }
+    for (std::thread &caller : callers)
+        caller.join();
+    for (size_t s = 0; s < nshards; ++s)
+        expectStreamContinuity(streams[s],
+                               static_cast<uint8_t>(10 * (s + 1)));
+    // No wake-count assertion: on a loaded host every round's thread
+    // can be stopped before it is first scheduled.
+    // WatermarkCrossingWakesRefillThread covers the wake itself.
+
+    // Full shards: the thread goes to its untimed sleep, and a stop
+    // still returns at once.
+    service.refillBelowWatermark();
+    service.startAutoRefill(std::chrono::seconds(60));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    auto t0 = std::chrono::steady_clock::now();
+    service.stopAutoRefill();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(5));
+}
+
 TEST(EntropyService, SharedBackendShardsStayRaceFreeAndLossless)
 {
     // More shards than backends: byte-to-shard assignment is

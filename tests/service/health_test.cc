@@ -458,6 +458,62 @@ TEST(ServiceHealth, AutoRefillThreadSurvivesThrowingBackend)
     EXPECT_GE(svc.healthStats().refillFailures, 3u);
 }
 
+TEST(EntropyService, IdleAutoRefillStaysAsleep)
+{
+    // Full shards, servable banks, no traffic: the refill thread has
+    // nothing to do and sleeps without a timeout. A fixed 200 us
+    // clock would wake it about 500 times in 100 ms.
+    core::SoftwareTrng bank0(21);
+    core::SoftwareTrng bank1(22);
+    core::SoftwareTrng bank2(23);
+    EntropyService svc({&bank0, &bank1, &bank2},
+                       testServiceConfig(2, true));
+    svc.refillBelowWatermark();
+    ASSERT_EQ(svc.healthStats().quarantines, 0u);
+    svc.startAutoRefill(std::chrono::microseconds(200));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    EXPECT_LE(svc.autoRefillWakeups(), 5u);
+    svc.stopAutoRefill();
+}
+
+TEST(EntropyService, RequestPathQuarantineWakesRefillThread)
+{
+    // Bank 0 is stuck from byte 0; bank 1 is the spare. The shard
+    // starts empty, so the first request sync-fills from bank 0 and
+    // quarantines it there. That request took no buffered bytes, so
+    // no drain wakes the thread, and the 60 s period cannot fire
+    // before the deadline: only the resource-epoch wake can bring
+    // the probation draw.
+    core::SoftwareTrng inner(31);
+    core::FaultInjectedTrng bank0(
+        inner, core::FaultSpec::parse("0:stuck:0:0:255"));
+    core::SoftwareTrng bank1(32);
+    EntropyService svc({&bank0, &bank1}, testServiceConfig(1, true));
+    svc.startAutoRefill(std::chrono::seconds(60));
+    EntropyService::Client client = svc.connect("c", Priority::Standard, 0);
+
+    std::vector<uint8_t> out(4 * kWindowBytes);
+    RequestResult result = client.request(out.data(), out.size());
+    ASSERT_FALSE(result.denied);
+    ASSERT_EQ(result.bytes, out.size());
+    EXPECT_EQ(result.bytesFromBuffer, 0u);
+    const HealthMonitor *monitor = svc.healthMonitor();
+    EXPECT_EQ(svc.healthStats().quarantines, 1u);
+    EXPECT_EQ(svc.shardBackendIndex(0), 1u);
+
+    // The request scored its four windows on bank 0; a fifth can
+    // only come from a probation draw.
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (monitor->score(0).windowsTested <= 4 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_GT(monitor->score(0).windowsTested, 4u);
+    EXPECT_EQ(monitor->state(0), BankState::Quarantined);
+    svc.stopAutoRefill();
+    EXPECT_EQ(svc.healthStats().unhealthyBytesServed, 0u);
+}
+
 // -------------------------------------- legacy sync-fill retries
 
 TEST(ServiceHealth, SyncFillRetryServesThroughTransientFault)
