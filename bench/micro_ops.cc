@@ -2,7 +2,7 @@
  * @file
  * Google-benchmark microbenchmarks of the library's hot operations:
  * SHA-256 hashing, the batched sensing kernel, QUAC resolution, the
- * RowClone-init resolve with and without the saturation fast-path,
+ * RowClone-init resolve on the saturation fast-path,
  * the entropy service's hit/miss/multi-client request paths,
  * analytic characterization, the Von Neumann corrector, and
  * representative NIST tests.
@@ -58,50 +58,6 @@ fourBankConfig()
     cfg.sibEntropyTarget = 24.0;
     cfg.characterizeStride = 4;
     return cfg;
-}
-
-/**
- * The seed repository's generation loop, replayed through the public
- * host API: strictly serial across banks, one heap-allocated vector
- * per RD, and a word -> byte push_back staging buffer per SHA input
- * block. Kept here as the "before" side of the pipeline benchmarks.
- */
-void
-seedPathIteration(dram::DramModule &module, softmc::SoftMcHost &host,
-                  const std::vector<core::QuacTrng::BankPlan> &plans,
-                  uint8_t pattern, std::vector<uint8_t> &out)
-{
-    const dram::Geometry &geom = module.geometry();
-    const dram::TimingParams &timing = host.timing();
-    for (const auto &plan : plans) {
-        uint32_t base = geom.firstRowOfSegment(plan.segment);
-        for (uint32_t i = 0; i < dram::Geometry::rowsPerSegment; ++i) {
-            bool one = (pattern >> i) & 1;
-            host.rowCloneCopy(plan.bank,
-                              one ? plan.oneRow : plan.zeroRow,
-                              base + i);
-        }
-        host.quac(plan.bank, plan.segment);
-        for (const core::ColumnRange &range : plan.ranges) {
-            std::vector<uint8_t> raw;
-            raw.reserve((range.endColumn - range.beginColumn) *
-                        geom.cacheBlockBits / 8);
-            for (uint32_t col = range.beginColumn;
-                 col < range.endColumn; ++col) {
-                std::vector<uint64_t> block = host.rd(plan.bank, col);
-                host.wait(timing.tCCD_L);
-                for (uint64_t word : block) {
-                    for (int byte = 0; byte < 8; ++byte) {
-                        raw.push_back(
-                            static_cast<uint8_t>(word >> (8 * byte)));
-                    }
-                }
-            }
-            Sha256::Digest digest = Sha256::hash(raw);
-            out.insert(out.end(), digest.begin(), digest.end());
-        }
-        host.preObeyed(plan.bank);
-    }
 }
 
 void
@@ -289,31 +245,6 @@ BENCHMARK(BM_SibHash_ZeroCopy);
 // ---------------------------------------------------- full iteration
 
 void
-BM_FullIteration_SeedPath(benchmark::State &state)
-{
-    // The seed's pipeline, faithfully: serial across banks, one
-    // vector allocation per RD, byte-staging before SHA, no
-    // variation-oracle row cache, and the scalar sensing path.
-    dram::ModuleSpec spec = testSpec();
-    spec.oracleCache = false;
-    spec.fastSense = false;
-    dram::DramModule module(std::move(spec));
-    core::QuacTrng trng(module, fourBankConfig());
-    trng.setup();
-    softmc::SoftMcHost host(module);
-    host.wait(1e6); // clear of setup's reserved-row writes
-    std::vector<uint8_t> out;
-    for (auto _ : state) {
-        out.clear();
-        seedPathIteration(module, host, trng.plans(), 0b1110, out);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(out.size()));
-}
-BENCHMARK(BM_FullIteration_SeedPath);
-
-void
 BM_FullIteration_ZeroCopySerial(benchmark::State &state)
 {
     dram::DramModule module(testSpec());
@@ -348,30 +279,6 @@ BM_FullIteration_ZeroCopyParallel(benchmark::State &state)
 BENCHMARK(BM_FullIteration_ZeroCopyParallel);
 
 void
-BM_FullIteration_NoSaturation(benchmark::State &state)
-{
-    // The zero-copy pipeline with the saturation fast-path disabled:
-    // the four per-bank RowClone-init cache misses pay the full Phi
-    // batch every iteration. The "before" side of the saturation
-    // benchmarks (BM_FullIteration_ZeroCopySerial is the "after").
-    dram::ModuleSpec spec = testSpec();
-    spec.saturationFastPath = false;
-    dram::DramModule module(std::move(spec));
-    core::QuacTrngConfig cfg = fourBankConfig();
-    cfg.parallelBanks = false;
-    core::QuacTrng trng(module, cfg);
-    trng.setup();
-    std::vector<uint8_t> out(trng.bytesPerIteration());
-    for (auto _ : state) {
-        trng.fill(out.data(), out.size());
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                            static_cast<int64_t>(out.size()));
-}
-BENCHMARK(BM_FullIteration_NoSaturation);
-
-void
 BM_FullIteration_ReferenceSense(benchmark::State &state)
 {
     // The zero-copy pipeline with the batched sensing kernel disabled:
@@ -401,14 +308,13 @@ BENCHMARK(BM_FullIteration_ReferenceSense);
  * four RowClone segment-init copies race the destination row (which
  * holds last iteration's random bits) against the full-rail residual,
  * so their setups never repeat. The saturation fast-path recognizes
- * the whole-row tail and skips the Phi batch.
+ * the residual-dominated race and copies the residual bits without a
+ * probability row.
  */
 void
-rowCloneInitResolve(benchmark::State &state, bool saturation)
+BM_RowCloneInitResolve_Saturation(benchmark::State &state)
 {
-    dram::ModuleSpec spec = testSpec();
-    spec.saturationFastPath = saturation;
-    dram::DramModule module(std::move(spec));
+    dram::DramModule module(testSpec());
     softmc::SoftMcHost host(module);
     host.writeRowFill(0, 8, true); // constant source row
     dram::Bank &bank = module.bank(0);
@@ -427,19 +333,6 @@ rowCloneInitResolve(benchmark::State &state, bool saturation)
     }
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             nbits);
-}
-
-void
-BM_RowCloneInitResolve_FullPhi(benchmark::State &state)
-{
-    rowCloneInitResolve(state, false);
-}
-BENCHMARK(BM_RowCloneInitResolve_FullPhi);
-
-void
-BM_RowCloneInitResolve_Saturation(benchmark::State &state)
-{
-    rowCloneInitResolve(state, true);
 }
 BENCHMARK(BM_RowCloneInitResolve_Saturation);
 

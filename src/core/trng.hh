@@ -64,7 +64,7 @@ struct QuacTrngConfig
     std::vector<uint32_t> banks = {0, 1, 2, 3};
     /** Segment init pattern (paper default "0111"). */
     uint8_t pattern = 0b1110;
-    /** Apply SHA-256 whitening (false = raw reads, analysis only). */
+    /** Hash each SIB with SHA-256 (false = raw reads, analysis only). */
     bool useSha = true;
     /** Shannon entropy target per SHA input block. */
     double sibEntropyTarget = 256.0;
@@ -157,7 +157,7 @@ class QuacTrng : public Trng
 
     /**
      * Raw (pre-hash) sense-amplifier bits of one QUAC on the given
-     * plan: init + QUAC + full-segment read, no whitening. Used by
+     * plan: init + QUAC + full-segment read, no SHA-256. Used by
      * the characterization experiments.
      */
     Bitstream rawIteration(size_t plan_index);

@@ -2,7 +2,7 @@
  * @file
  * SHA-256 (FIPS 180-2) implemented from scratch.
  *
- * The paper uses SHA-256 as the post-processing (whitening) step of
+ * The paper uses SHA-256 as the post-processing step of
  * QUAC-TRNG: each 512-bit-wide read that carries >= 256 bits of
  * Shannon entropy is hashed down to a 256-bit random number.
  */

@@ -420,7 +420,7 @@ Bank::resolveSense(double t)
 bool
 Bank::residRaceSaturated(double develop)
 {
-    if (!ctx_->fastSense || !ctx_->saturationFastPath)
+    if (!ctx_->fastSense)
         return false;
     if (pending_.contribs.size() != 1 || pending_.residBits.empty())
         return false;
@@ -439,27 +439,12 @@ Bank::residRaceSaturated(double develop)
     if (pending_.residAmpMv < saturationZ * sigma)
         return false;
 
-    double max_off;
-    double max_cap;
-    if (ctx_->oracleCache) {
-        offsetRow(contrib.row); // refresh/insert the cached entry
-        max_off = offsetRowMaxAbs(contrib.row);
-        // Evict here, not in capRow() (same single-caller contract
-        // as computeProbabilities): no live cache pointers are held.
-        if (capCache_.size() >= capCacheCapacity)
-            evictColdEntries(capCache_);
-        capRow(contrib.row);
-        max_cap = capRowMaxAbs(contrib.row);
-    } else {
-        computeOffsetRow(contrib.row, offsetScratch_);
-        max_off = 0.0;
-        for (double off : offsetScratch_)
-            max_off = std::max(max_off, std::fabs(off));
-        computeCapRow(contrib.row, capScratch_);
-        max_cap = 0.0;
-        for (double cap : capScratch_)
-            max_cap = std::max(max_cap, std::fabs(cap));
-    }
+    double max_off = offsetRow(contrib.row).maxAbsMv;
+    // Evict here, not in capRow() (same single-caller contract as
+    // computeProbabilities): no live cache pointers are held.
+    if (capCache_.size() >= capCacheCapacity)
+        evictColdEntries(capCache_);
+    double max_cap = capRow(contrib.row).maxAbs;
 
     // Worst case over every bitline: the racing cells pull against
     // the residual with at most develop * |scale| * max|cap|, and the
@@ -584,19 +569,13 @@ Bank::computeProbabilities(const std::vector<Contribution> &contribs,
     // are cell-content independent; fetching them row-wise lets the
     // generation loop amortize the Philox draws even though changing
     // cell contents defeat the probability cache.
-    const std::vector<double> *offset;
-    if (ctx_->oracleCache) {
-        offset = &offsetRow(row0);
-    } else {
-        computeOffsetRow(row0, offsetScratch_);
-        offset = &offsetScratch_;
-    }
+    const OffsetRowEntry &offset = offsetRow(row0);
 
     // Eviction may only run here, never inside capRow(): the loop
     // below holds a live pointer into the cache while capRow() may
     // insert further rows (insertion keeps entries stable, erasure
     // does not).
-    if (ctx_->oracleCache && capCache_.size() >= capCacheCapacity)
+    if (capCache_.size() >= capCacheCapacity)
         evictColdEntries(capCache_);
 
     // Structure-of-arrays accumulation: one contiguous pass per
@@ -607,13 +586,7 @@ Bank::computeProbabilities(const std::vector<Contribution> &contribs,
     devScratch_.assign(nbits, 0.0);
     double *dev = devScratch_.data();
     for (const Contribution &contrib : contribs) {
-        const double *cap;
-        if (ctx_->oracleCache) {
-            cap = capRow(contrib.row).data();
-        } else {
-            computeCapRow(contrib.row, capScratch_);
-            cap = capScratch_.data();
-        }
+        const double *cap = capRow(contrib.row).caps.data();
         double scale = contrib.scaleMv;
         auto row_it = rows_.find(contrib.row);
         int constant = row_it == rows_.end()
@@ -654,7 +627,7 @@ Bank::computeProbabilities(const std::vector<Contribution> &contribs,
         }
     }
 
-    if (ctx_->fastSense && ctx_->saturationFastPath) {
+    if (ctx_->fastSense) {
         // Saturation fast-path: if every bitline is >= saturationZ
         // sigma into the same tail, the Phi batch would snap the
         // whole row to exactly 0.0f / 1.0f anyway, so emit the
@@ -662,18 +635,9 @@ Bank::computeProbabilities(const std::vector<Contribution> &contribs,
         // TRNG's RowClone-init resolves, whose destination rows hold
         // last iteration's random bits and therefore miss the
         // probability cache every iteration.
-        double max_abs;
-        if (ctx_->oracleCache) {
-            max_abs = offsetRowMaxAbs(row0);
-        } else {
-            max_abs = 0.0;
-            const double *off = offset->data();
-            for (uint32_t b = 0; b < nbits; ++b)
-                max_abs = std::max(max_abs, std::fabs(off[b]));
-        }
         // |dev| beyond this puts a bitline >= saturationZ sigma into
         // its tail for every possible offset of this row.
-        double bound = saturationZ * sigma + max_abs;
+        double bound = saturationZ * sigma + offset.maxAbsMv;
         bool one_tail = dev[0] >= bound;
         if (one_tail || dev[0] <= -bound) {
             // Block-wise all-of test: a vectorizable compare-count
@@ -702,11 +666,10 @@ Bank::computeProbabilities(const std::vector<Contribution> &contribs,
         }
     }
 
+    const double *off = offset.offset.data();
     if (ctx_->fastSense) {
-        probabilityOneBatch(dev, offset->data(), sigma, probs.data(),
-                            nbits);
+        probabilityOneBatch(dev, off, sigma, probs.data(), nbits);
     } else {
-        const double *off = offset->data();
         for (uint32_t b = 0; b < nbits; ++b)
             probs[b] = static_cast<float>(
                 probabilityOne(dev[b], off[b], sigma));
@@ -746,7 +709,7 @@ Bank::computeOffsetRow(uint32_t row0, std::vector<double> &out) const
     }
 }
 
-const std::vector<double> &
+const Bank::OffsetRowEntry &
 Bank::offsetRow(uint32_t row0) const
 {
     auto it = offsetCache_.find(row0);
@@ -754,7 +717,7 @@ Bank::offsetRow(uint32_t row0) const
         it->second.temperatureC == ctx_->temperatureC &&
         it->second.ageDays == ctx_->ageDays) {
         it->second.hot = true;
-        return it->second.offset;
+        return it->second;
     }
     if (offsetCache_.size() >= offsetCacheCapacity)
         evictColdEntries(offsetCache_);
@@ -765,18 +728,7 @@ Bank::offsetRow(uint32_t row0) const
     for (double offset : entry.offset)
         entry.maxAbsMv = std::max(entry.maxAbsMv, std::fabs(offset));
     return offsetCache_.insert_or_assign(row0, std::move(entry))
-        .first->second.offset;
-}
-
-double
-Bank::offsetRowMaxAbs(uint32_t row0) const
-{
-    auto it = offsetCache_.find(row0);
-    QUAC_ASSERT(it != offsetCache_.end() &&
-                it->second.temperatureC == ctx_->temperatureC &&
-                it->second.ageDays == ctx_->ageDays,
-                "offsetRowMaxAbs before offsetRow(%u)", row0);
-    return it->second.maxAbsMv;
+        .first->second;
 }
 
 void
@@ -788,7 +740,7 @@ Bank::computeCapRow(uint32_t row, std::vector<double> &out) const
     var.cellCapRow(bankId_, row, geom.bitlinesPerRow, out.data());
 }
 
-const std::vector<double> &
+const Bank::CapRowEntry &
 Bank::capRow(uint32_t row) const
 {
     // No eviction here: computeProbabilities may still hold a
@@ -804,16 +756,7 @@ Bank::capRow(uint32_t row) const
     } else {
         it->second.hot = true;
     }
-    return it->second.caps;
-}
-
-double
-Bank::capRowMaxAbs(uint32_t row) const
-{
-    auto it = capCache_.find(row);
-    QUAC_ASSERT(it != capCache_.end(),
-                "capRowMaxAbs before capRow(%u)", row);
-    return it->second.maxAbs;
+    return it->second;
 }
 
 uint64_t
@@ -927,6 +870,7 @@ std::vector<float>
 Bank::earlyReadProbabilities(uint32_t row, double elapsed_ns) const
 {
     const Calibration &cal = *ctx_->cal;
+    QUAC_ASSERT(row < ctx_->geom->rowsPerBank, "row %u out of range", row);
     std::vector<Contribution> contribs = {{row, cal.singleRowShareMv}};
     std::vector<float> probs;
     computeProbabilities(contribs, nullptr, 0.0,
@@ -939,7 +883,12 @@ Bank::racedActivateProbabilities(uint32_t row,
                                  const std::vector<uint64_t> &resid_bits,
                                  double gap_ns) const
 {
+    const Geometry &geom = *ctx_->geom;
     const Calibration &cal = *ctx_->cal;
+    QUAC_ASSERT(row < geom.rowsPerBank, "row %u out of range", row);
+    QUAC_ASSERT(resid_bits.size() == geom.wordsPerRow(),
+                "residual holds %zu words, expected %u", resid_bits.size(),
+                geom.wordsPerRow());
     double amp = cal.railMv * std::exp(-gap_ns / cal.tauEqNs);
     std::vector<Contribution> contribs = {{row, cal.singleRowKickMv}};
     std::vector<float> probs;

@@ -45,29 +45,16 @@ struct BankContext
     double temperatureC = 50.0;
     double ageDays = 0.0;
     /**
-     * Reuse the cell-content-independent variation-oracle factors
-     * across sensing events (bit-identical results; trades memory
-     * for a large speedup of the generation loop).
-     */
-    bool oracleCache = true;
-    /**
      * Resolve sensing with the batched SIMD kernel (vectorized Phi
      * approximation + bulk uniform draws) instead of the scalar
      * per-bitline erfc/draw loops. Statistically indistinguishable
      * from the reference path and bit-identical on the guardbanded
-     * single-row path; disable to select the scalar oracle.
+     * single-row path; disable to select the scalar oracle. The
+     * fast path also emits a constant row, without evaluating Phi,
+     * for setups >= saturationZ sigma into one tail (bit-identical:
+     * the batch kernel snaps such bitlines to exactly 0 or 1).
      */
     bool fastSense = true;
-    /**
-     * Skip the batched Phi evaluation when a whole sensing row is
-     * >= saturationZ sigma into one tail (min/max deviation against
-     * the cached per-row max |offset|) and emit a constant
-     * probability row instead. Bit-identical to the full fastSense
-     * kernel; this is what makes the TRNG's unavoidable RowClone
-     * -init probability-cache misses cheap. Only applies when
-     * fastSense is on.
-     */
-    bool saturationFastPath = true;
 };
 
 /** One DRAM bank: sparse cell array plus row-buffer state machine. */
@@ -156,7 +143,8 @@ class Bank
 
     /**
      * Per-bitline probability of reading 1 when @p row is read
-     * @p elapsed_ns after its ACT (tRCD-failure behaviour).
+     * @p elapsed_ns after its ACT (tRCD-failure behaviour). Panics
+     * if @p row is out of range.
      */
     std::vector<float> earlyReadProbabilities(uint32_t row,
                                               double elapsed_ns) const;
@@ -165,6 +153,8 @@ class Bank
      * Per-bitline probability of reading 1 when @p row is activated
      * @p gap_ns after a precharge that interrupted a latched row
      * buffer holding @p resid_bits (tRP-failure / RowClone regimes).
+     * Panics if @p row is out of range or @p resid_bits does not
+     * hold exactly one row (Geometry::wordsPerRow() words).
      */
     std::vector<float>
     racedActivateProbabilities(uint32_t row,
@@ -249,6 +239,29 @@ class Bank
         bool hot = false; ///< Second-chance eviction bit.
     };
 
+    /**
+     * Memoized cell-content-independent variation-oracle rows. The
+     * Philox draws behind saOffsetMv/cellCapFactor dominate
+     * computeProbabilities; they depend only on (bank, row, bitline,
+     * temperature, age), so the generation loop can reuse them even
+     * though changing cell contents defeat probCache_. The max |x|
+     * of each row feeds the saturation tests.
+     */
+    struct OffsetRowEntry
+    {
+        double temperatureC = 0.0;
+        double ageDays = 0.0;
+        std::vector<double> offset;
+        double maxAbsMv = 0.0;
+        bool hot = false;
+    };
+    struct CapRowEntry
+    {
+        std::vector<double> caps;
+        double maxAbs = 0.0;
+        bool hot = false;
+    };
+
     std::vector<uint64_t> &rowStorage(uint32_t row);
     bool cellValue(uint32_t row, uint32_t bitline) const;
     void latchFromRow(uint32_t row);
@@ -291,28 +304,17 @@ class Bank
                               std::vector<float> &probs) const;
 
     /**
-     * Per-bitline effective SA offset for sensing led by @p row0
-     * (cell-content independent; cached per row at the current
-     * temperature/age when the oracle cache is enabled).
+     * Per-bitline effective SA offsets for sensing led by @p row0
+     * (cell-content independent), cached per row and recomputed when
+     * the temperature or age changed since the entry was filled.
      */
-    const std::vector<double> &offsetRow(uint32_t row0) const;
+    const OffsetRowEntry &offsetRow(uint32_t row0) const;
     void computeOffsetRow(uint32_t row0,
                           std::vector<double> &out) const;
 
-    /**
-     * Max |offset| of offsetRow(row0), cached with the row entry
-     * (valid right after offsetRow(row0) refreshed the entry). Feeds
-     * the saturation fast-path's whole-row tail test.
-     */
-    double offsetRowMaxAbs(uint32_t row0) const;
-
     /** Per-bitline cell capacitance factors of @p row (cached). */
-    const std::vector<double> &capRow(uint32_t row) const;
+    const CapRowEntry &capRow(uint32_t row) const;
     void computeCapRow(uint32_t row, std::vector<double> &out) const;
-
-    /** Max |cap factor| of capRow(row), cached with the row entry
-     * (valid right after capRow(row) touched the entry). */
-    double capRowMaxAbs(uint32_t row) const;
 
     /**
      * Hash of everything computeProbabilities depends on. Row
@@ -371,34 +373,11 @@ class Bank
     mutable uint64_t satRowFastPaths_ = 0;
     mutable uint64_t residRaceFastPaths_ = 0;
 
-    /**
-     * Memoized cell-content-independent variation-oracle rows. The
-     * Philox draws behind saOffsetMv/cellCapFactor dominate
-     * computeProbabilities; they depend only on (bank, row, bitline,
-     * temperature, age), so the generation loop can reuse them even
-     * though changing cell contents defeat probCache_.
-     */
-    struct OffsetRowEntry
-    {
-        double temperatureC = 0.0;
-        double ageDays = 0.0;
-        std::vector<double> offset;
-        double maxAbsMv = 0.0;
-        bool hot = false;
-    };
-    struct CapRowEntry
-    {
-        std::vector<double> caps;
-        double maxAbs = 0.0;
-        bool hot = false;
-    };
     mutable std::unordered_map<uint32_t, OffsetRowEntry> offsetCache_;
     mutable std::unordered_map<uint32_t, CapRowEntry> capCache_;
 
     /** Reused scratch (avoids per-sensing allocations). */
     mutable std::vector<double> devScratch_;
-    mutable std::vector<double> capScratch_;
-    mutable std::vector<double> offsetScratch_;
     std::vector<float> uniformScratch_;
 };
 

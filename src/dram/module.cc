@@ -16,9 +16,7 @@ DramModule::DramModule(ModuleSpec spec)
     ctx_.variation = &variation_;
     ctx_.temperatureC = spec_.temperatureC;
     ctx_.ageDays = spec_.ageDays;
-    ctx_.oracleCache = spec_.oracleCache;
     ctx_.fastSense = spec_.fastSense;
-    ctx_.saturationFastPath = spec_.saturationFastPath;
 
     banks_.reserve(spec_.geometry.banks);
     uint64_t sm = spec_.seed ^ 0x5bd1e995b1e6a5c3ULL;

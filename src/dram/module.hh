@@ -50,12 +50,6 @@ struct ModuleSpec
     /** Initial device age in days. */
     double ageDays = 0.0;
     /**
-     * Cache the cell-content-independent variation-oracle factors
-     * per row inside each bank (bit-identical results, large speedup
-     * of the generation loop; disable to measure the uncached model).
-     */
-    bool oracleCache = true;
-    /**
      * Resolve sensing with the batched SIMD kernel (vectorized Phi
      * approximation, bulk uniform draws, word-packed bit
      * resolution). Statistically indistinguishable from the scalar
@@ -63,14 +57,6 @@ struct ModuleSpec
      * path; disable to select the scalar erfc/per-bit-draw oracle.
      */
     bool fastSense = true;
-    /**
-     * Emit constant probability rows for sensing setups saturated
-     * >= saturationZ sigma into one tail instead of running the
-     * batched Phi kernel (bit-identical; see
-     * BankContext::saturationFastPath). Only effective with
-     * fastSense.
-     */
-    bool saturationFastPath = true;
 };
 
 /**

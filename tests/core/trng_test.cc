@@ -10,6 +10,7 @@
 #include "common/error.hh"
 #include "core/trng.hh"
 #include "nist/sts.hh"
+#include "softmc/host.hh"
 
 namespace quac::core
 {
@@ -141,7 +142,7 @@ TEST(QuacTrng, ShaOutputPassesBasicNistTests)
 
 TEST(QuacTrng, RawOutputIsBiased)
 {
-    // Without whitening, raw QUAC reads carry the deterministic
+    // Without SHA-256, raw QUAC reads carry the deterministic
     // bitlines too; a monobit failure is expected (this is why the
     // paper post-processes).
     dram::DramModule module(testSpec());
@@ -219,42 +220,62 @@ TEST(QuacTrng, FillRequestsStraddlingIterationBoundary)
     EXPECT_EQ(stream, bulk.generate(stream.size()));
 }
 
-TEST(QuacTrng, OracleCacheIsBitIdentical)
-{
-    // The variation-oracle row cache is a pure memoization: cached
-    // and uncached modules must emit identical bytes.
-    dram::ModuleSpec cached_spec = testSpec(13);
-    dram::ModuleSpec uncached_spec = testSpec(13);
-    uncached_spec.oracleCache = false;
-    dram::DramModule cached_module(std::move(cached_spec));
-    dram::DramModule uncached_module(std::move(uncached_spec));
-    QuacTrng cached(cached_module, testConfig());
-    QuacTrng uncached(uncached_module, testConfig());
-    EXPECT_EQ(cached.generate(512), uncached.generate(512));
-}
-
 TEST(QuacTrng, SaturationFastPathIsBitIdentical)
 {
-    // The saturation fast-path skips the Phi batch for whole-row
-    // tail setups (the RowClone-init resolves); generated bytes must
-    // not change, and the fast-path must actually fire every
-    // iteration on the four raced init copies per bank.
-    dram::ModuleSpec fast_spec = testSpec(13);
-    dram::ModuleSpec full_spec = testSpec(13);
-    full_spec.saturationFastPath = false;
-    dram::DramModule fast_module(std::move(fast_spec));
-    dram::DramModule full_module(std::move(full_spec));
+    // The saturation fast-path skips the Phi batch for the RowClone
+    // segment-init copies, which race the destination's random bits
+    // against a full-rail residual. It must fire on all four init
+    // copies per bank every iteration, and a copy must resolve to
+    // exactly the bits the scalar reference oracle resolves, whatever
+    // random bits the destination held.
+    dram::ModuleSpec ref_spec = testSpec(13);
+    ref_spec.fastSense = false;
+    dram::DramModule fast_module(testSpec(13));
+    dram::DramModule ref_module(std::move(ref_spec));
     QuacTrng fast(fast_module, testConfig());
-    QuacTrng full(full_module, testConfig());
-    EXPECT_EQ(fast.generate(512), full.generate(512));
+    QuacTrng ref(ref_module, testConfig());
+    (void)fast.generate(512);
+    (void)ref.generate(512);
+    ASSERT_EQ(fast.plans().size(), ref.plans().size());
 
     uint64_t fired = 0;
     for (const auto &plan : fast.plans())
         fired += fast_module.bank(plan.bank).saturatedRowFastPaths();
     EXPECT_GE(fired, 4u * fast.plans().size() * fast.iterations());
-    for (const auto &plan : full.plans())
-        EXPECT_EQ(full_module.bank(plan.bank).saturatedRowFastPaths(),
+    for (const auto &plan : ref.plans())
+        EXPECT_EQ(ref_module.bank(plan.bank).saturatedRowFastPaths(),
                   0u);
+
+    // Replay one init on each module's last QUAC output (different
+    // random bits on the two sides): the copies must agree exactly.
+    const dram::Geometry &geom = fast_module.geometry();
+    softmc::SoftMcHost fast_host(fast_module);
+    softmc::SoftMcHost ref_host(ref_module);
+    fast_host.wait(1e9); // clear of the generators' command streams
+    ref_host.wait(1e9);
+    bool destinations_differ = false;
+    for (size_t i = 0; i < fast.plans().size(); ++i) {
+        const auto &plan = fast.plans()[i];
+        ASSERT_EQ(plan.segment, ref.plans()[i].segment);
+        uint32_t base = geom.firstRowOfSegment(plan.segment);
+        for (uint32_t r = 0; r < dram::Geometry::rowsPerSegment; ++r) {
+            bool one = (testConfig().pattern >> r) & 1;
+            uint32_t src = one ? plan.oneRow : plan.zeroRow;
+            destinations_differ =
+                destinations_differ ||
+                fast_module.bank(plan.bank).peekRow(base + r) !=
+                    ref_module.bank(plan.bank).peekRow(base + r);
+            fast_host.rowCloneCopy(plan.bank, src, base + r);
+            ref_host.rowCloneCopy(plan.bank, src, base + r);
+            EXPECT_EQ(fast_module.bank(plan.bank).peekRow(base + r),
+                      ref_module.bank(plan.bank).peekRow(base + r))
+                << "bank " << plan.bank << " row " << base + r;
+            EXPECT_EQ(fast_module.bank(plan.bank).peekRow(base + r),
+                      fast_module.bank(plan.bank).peekRow(src));
+        }
+    }
+    EXPECT_TRUE(destinations_differ)
+        << "the two sides' last QUAC outputs should differ";
 }
 
 TEST(QuacTrng, PreferredChunkMatchesIterationOutput)

@@ -426,5 +426,39 @@ TEST_F(BankTest, PokeOutOfRangePanics)
                  PanicError);
 }
 
+TEST_F(BankTest, AnalyticQueriesRejectOutOfRangeRows)
+{
+    Bank bank = makeBank();
+    std::vector<uint64_t> resid(geom.wordsPerRow(), ~uint64_t{0});
+    EXPECT_THROW(bank.quacProbabilities(geom.segmentsPerBank()),
+                 PanicError);
+    EXPECT_THROW(bank.earlyReadProbabilities(geom.rowsPerBank,
+                                             cal.drangeReadNs),
+                 PanicError);
+    EXPECT_THROW(bank.racedActivateProbabilities(geom.rowsPerBank,
+                                                 resid, 2.5),
+                 PanicError);
+    // The last row is still in range.
+    EXPECT_EQ(bank.earlyReadProbabilities(geom.rowsPerBank - 1,
+                                          cal.drangeReadNs).size(),
+              geom.bitlinesPerRow);
+    EXPECT_EQ(bank.racedActivateProbabilities(geom.rowsPerBank - 1,
+                                              resid, 2.5).size(),
+              geom.bitlinesPerRow);
+}
+
+TEST_F(BankTest, RacedActivateRejectsShortResidual)
+{
+    // The residual is indexed per bitline; anything but one whole
+    // row would read past the caller's buffer.
+    Bank bank = makeBank();
+    std::vector<uint64_t> short_resid(geom.wordsPerRow() - 1,
+                                      ~uint64_t{0});
+    EXPECT_THROW(bank.racedActivateProbabilities(0, short_resid, 2.5),
+                 PanicError);
+    EXPECT_THROW(bank.racedActivateProbabilities(0, {}, 2.5),
+                 PanicError);
+}
+
 } // anonymous namespace
 } // namespace quac::dram

@@ -4,7 +4,9 @@
  * (ModuleSpec::fastSense): probability agreement with the scalar
  * reference oracle, exact degenerate fast exits, bit-identical
  * guardbanded sensing, statistical fidelity of the resolved bits,
- * and second-chance eviction of the sensing caches.
+ * the saturation fast-path against the scalar reference oracle,
+ * coherence of the oracle-row caches across temperature and age
+ * changes, and second-chance eviction of the sensing caches.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "dram/module.hh"
+#include "dram/sensing.hh"
 #include "softmc/host.hh"
 
 namespace quac::dram
@@ -168,14 +171,6 @@ TEST(FastSense, DegenerateFastExitsAreConstantAcrossTrials)
     EXPECT_GT(degenerate, nbits / 2);
 }
 
-ModuleSpec
-specWithSaturation(bool saturation)
-{
-    ModuleSpec spec = specWithSense(true);
-    spec.saturationFastPath = saturation;
-    return spec;
-}
-
 /** Fill @p row with a deterministic pseudo-random bit pattern. */
 void
 pokeNoiseRow(Bank &bank, uint32_t row, uint32_t nbits, uint64_t salt)
@@ -186,71 +181,129 @@ pokeNoiseRow(Bank &bank, uint32_t row, uint32_t nbits, uint64_t salt)
     }
 }
 
+/**
+ * A metastable QUAC's probability rows agree between the fast kernel
+ * and the scalar reference oracle (the check every non-saturated row
+ * is held to).
+ */
+void
+expectQuacProbabilitiesAgree(DramModule &fast, DramModule &ref,
+                             uint32_t segment, uint8_t pattern)
+{
+    fast.bank(0).pokeSegmentPattern(segment, pattern);
+    ref.bank(0).pokeSegmentPattern(segment, pattern);
+    std::vector<float> pf = fast.bank(0).quacProbabilities(segment);
+    std::vector<float> pr = ref.bank(0).quacProbabilities(segment);
+    ASSERT_EQ(pf.size(), pr.size());
+    for (size_t b = 0; b < pf.size(); ++b)
+        ASSERT_NEAR(pf[b], pr[b], 1e-5) << "bitline " << b;
+}
+
+/**
+ * RowClone onto a noise-filled destination, then one metastable QUAC.
+ * Returns {copied row, QUAC row}. With @p clone false the copy is
+ * skipped, which gives the QUAC row of an untouched noise stream.
+ */
+std::vector<std::vector<uint64_t>>
+cloneThenQuac(DramModule &module, bool constant_source, bool clone)
+{
+    uint32_t nbits = module.geometry().bitlinesPerRow;
+    softmc::SoftMcHost host(module);
+    if (constant_source)
+        host.writeRowFill(0, 8, true); // all-ones source (segment 2)
+    else
+        pokeNoiseRow(module.bank(0), 8, nbits, 7); // mixed source
+    pokeNoiseRow(module.bank(0), 16, nbits, 99); // dst, segment 4
+    if (clone)
+        host.rowCloneCopy(0, 8, 16);
+    std::vector<uint64_t> quac_row(module.geometry().wordsPerRow());
+    runQuac(module, host, 9, 0b1110, quac_row);
+    return {module.bank(0).peekRow(16), quac_row};
+}
+
+/**
+ * The saturated RowClone must copy the same bits on the fast path
+ * and on the scalar reference path, and neither may draw a uniform
+ * for it: each module's follow-up QUAC equals that of a twin that
+ * skipped the copy. Only the fast path counts a saturated resolve.
+ */
+void
+expectSaturatedCloneIdentical(bool constant_source)
+{
+    DramModule fast(specWithSense(true));
+    DramModule ref(specWithSense(false));
+    auto fast_rows = cloneThenQuac(fast, constant_source, true);
+    auto ref_rows = cloneThenQuac(ref, constant_source, true);
+    EXPECT_EQ(fast_rows[0], ref_rows[0]) << "RowClone rows differ";
+    EXPECT_EQ(fast_rows[0], fast.bank(0).peekRow(8))
+        << "RowClone must have copied the source";
+    EXPECT_GT(fast.bank(0).saturatedRowFastPaths(), 0u);
+    EXPECT_GT(fast.bank(0).residRaceFastPaths(), 0u);
+    EXPECT_EQ(ref.bank(0).saturatedRowFastPaths(), 0u);
+    EXPECT_EQ(ref.bank(0).residRaceFastPaths(), 0u);
+
+    DramModule fast_twin(specWithSense(true));
+    DramModule ref_twin(specWithSense(false));
+    EXPECT_EQ(fast_rows[1],
+              cloneThenQuac(fast_twin, constant_source, false)[1])
+        << "fast path drew uniforms for the saturated copy";
+    EXPECT_EQ(ref_rows[1],
+              cloneThenQuac(ref_twin, constant_source, false)[1])
+        << "reference path drew uniforms for the saturated copy";
+
+    expectQuacProbabilitiesAgree(fast, ref, 9, 0b1110);
+}
+
 TEST(SaturationFastPath, RowCloneCopyBitIdenticalAndCounted)
 {
     // RowClone from a constant source row onto random destination
     // contents: the full-rail residual saturates every bitline, so
-    // the fast-path row must equal the full Phi batch's bit for bit
-    // -- and leave the noise stream untouched either way.
-    DramModule with(specWithSaturation(true));
-    DramModule without(specWithSaturation(false));
-    uint32_t nbits = with.geometry().bitlinesPerRow;
-
-    std::vector<std::vector<uint64_t>> rows;
-    for (DramModule *module : {&with, &without}) {
-        softmc::SoftMcHost host(*module);
-        host.writeRowFill(0, 8, true); // all-ones source (segment 2)
-        pokeNoiseRow(module->bank(0), 16, nbits, 99); // dst, segment 4
-        host.rowCloneCopy(0, 8, 16);
-        rows.push_back(module->bank(0).peekRow(16));
-        // A follow-up metastable QUAC proves the noise streams are
-        // still aligned after the (draw-free) saturated resolve.
-        std::vector<uint64_t> quac_row(module->geometry().wordsPerRow());
-        runQuac(*module, host, 9, 0b1110, quac_row);
-        rows.push_back(quac_row);
-    }
-    EXPECT_EQ(rows[0], rows[2]) << "RowClone rows differ";
-    EXPECT_EQ(rows[1], rows[3]) << "post-RowClone QUAC rows differ";
-    EXPECT_EQ(rows[0], with.bank(0).peekRow(8))
-        << "RowClone must have copied the constant source";
-
-    EXPECT_GT(with.bank(0).saturatedRowFastPaths(), 0u);
-    EXPECT_EQ(without.bank(0).saturatedRowFastPaths(), 0u);
+    // the fast-path row must equal the reference oracle's bit for
+    // bit -- and leave the noise stream untouched either way.
+    expectSaturatedCloneIdentical(true);
 }
 
 TEST(SaturationFastPath, SaturatedProbabilityRowsAreExactConstants)
 {
-    DramModule with(specWithSaturation(true));
-    DramModule without(specWithSaturation(false));
-    uint32_t nbits = with.geometry().bitlinesPerRow;
+    DramModule fast(specWithSense(true));
+    DramModule ref(specWithSense(false));
+    uint32_t nbits = fast.geometry().bitlinesPerRow;
 
     // Full-rail all-ones residual racing an unwritten row: every
     // bitline lands >= saturationZ sigma into the 1 tail.
-    std::vector<uint64_t> ones(with.geometry().wordsPerRow(),
+    std::vector<uint64_t> ones(fast.geometry().wordsPerRow(),
                                ~uint64_t{0});
-    std::vector<uint64_t> zeros(with.geometry().wordsPerRow(), 0);
+    std::vector<uint64_t> zeros(fast.geometry().wordsPerRow(), 0);
     for (uint32_t row : {20u, 21u}) {
-        auto pw = with.bank(0).racedActivateProbabilities(row, ones,
+        auto pf = fast.bank(0).racedActivateProbabilities(row, ones,
                                                           2.5);
-        auto pn = without.bank(0).racedActivateProbabilities(row, ones,
-                                                             2.5);
-        ASSERT_EQ(pw.size(), nbits);
-        EXPECT_EQ(pw, pn);
+        auto pr = ref.bank(0).racedActivateProbabilities(row, ones,
+                                                         2.5);
+        ASSERT_EQ(pf.size(), nbits);
+        EXPECT_EQ(pf, pr);
         for (uint32_t b = 0; b < nbits; ++b)
-            ASSERT_EQ(pw[b], 1.0f) << "bitline " << b;
+            ASSERT_EQ(pf[b], 1.0f) << "bitline " << b;
 
-        auto zw = with.bank(0).racedActivateProbabilities(row, zeros,
+        // The scalar erfc keeps the float of Phi(-z) in the 0 tail;
+        // the resolvers treat anything <= degenerateProbability as a
+        // certain 0, so both sides resolve the same bits.
+        auto zf = fast.bank(0).racedActivateProbabilities(row, zeros,
                                                           2.5);
-        for (uint32_t b = 0; b < nbits; ++b)
-            ASSERT_EQ(zw[b], 0.0f) << "bitline " << b;
+        auto zr = ref.bank(0).racedActivateProbabilities(row, zeros,
+                                                         2.5);
+        for (uint32_t b = 0; b < nbits; ++b) {
+            ASSERT_EQ(zf[b], 0.0f) << "bitline " << b;
+            ASSERT_LE(zr[b], degenerateProbability) << "bitline " << b;
+        }
     }
-    EXPECT_GT(with.bank(0).saturatedRowFastPaths(), 0u);
+    EXPECT_GT(fast.bank(0).saturatedRowFastPaths(), 0u);
+    EXPECT_EQ(ref.bank(0).saturatedRowFastPaths(), 0u);
 
     // A balanced QUAC is metastable: the fast-path must not fire.
-    uint64_t fired = with.bank(0).saturatedRowFastPaths();
-    with.bank(0).pokeSegmentPattern(6, 0b1110);
-    auto quac = with.bank(0).quacProbabilities(6);
-    EXPECT_EQ(with.bank(0).saturatedRowFastPaths(), fired);
+    uint64_t fired = fast.bank(0).saturatedRowFastPaths();
+    fast.bank(0).pokeSegmentPattern(6, 0b1110);
+    auto quac = fast.bank(0).quacProbabilities(6);
+    EXPECT_EQ(fast.bank(0).saturatedRowFastPaths(), fired);
     bool metastable = false;
     for (float p : quac)
         metastable = metastable || (p > 0.0f && p < 1.0f);
@@ -262,30 +315,10 @@ TEST(SaturationFastPath, MixedResidualRaceResolvesFromResidualBits)
     // RowClone from a MIXED-content source row: the residual bits
     // span both tails, so the whole-row saturation test can never
     // fire -- only the residual-dominated race path can skip the
-    // probability row. It must stay bit-identical to the full Phi
-    // batch (whose per-bitline snapping it reproduces) and keep the
-    // noise streams aligned (no draws on either side).
-    DramModule with(specWithSaturation(true));
-    DramModule without(specWithSaturation(false));
-    uint32_t nbits = with.geometry().bitlinesPerRow;
-
-    std::vector<std::vector<uint64_t>> rows;
-    for (DramModule *module : {&with, &without}) {
-        softmc::SoftMcHost host(*module);
-        pokeNoiseRow(module->bank(0), 8, nbits, 7);   // mixed source
-        pokeNoiseRow(module->bank(0), 16, nbits, 99); // destination
-        host.rowCloneCopy(0, 8, 16);
-        rows.push_back(module->bank(0).peekRow(16));
-        std::vector<uint64_t> quac_row(
-            module->geometry().wordsPerRow());
-        runQuac(*module, host, 9, 0b1110, quac_row);
-        rows.push_back(quac_row);
-    }
-    EXPECT_EQ(rows[0], rows[2]) << "RowClone rows differ";
-    EXPECT_EQ(rows[1], rows[3]) << "post-RowClone QUAC rows differ";
-
-    EXPECT_GT(with.bank(0).residRaceFastPaths(), 0u);
-    EXPECT_EQ(without.bank(0).residRaceFastPaths(), 0u);
+    // probability row. It must copy the same bits as the reference
+    // oracle (whose per-bitline degenerate exits it reproduces) with
+    // no draws on either side.
+    expectSaturatedCloneIdentical(false);
 }
 
 TEST(SaturationFastPath, DecayedResidualRaceStaysOnFullPath)
@@ -293,51 +326,122 @@ TEST(SaturationFastPath, DecayedResidualRaceStaysOnFullPath)
     // Stretch the PRE -> ACT gap so the residual decays to barely
     // above the race threshold: the cells' pull dominates, the
     // saturation margin cannot hold, and the race must resolve
-    // through the full probability path -- identically with the fast
-    // path enabled or disabled.
-    DramModule with(specWithSaturation(true));
-    DramModule without(specWithSaturation(false));
-    uint32_t nbits = with.geometry().bitlinesPerRow;
-    const dram::Calibration &cal = with.calibration();
+    // through the full probability path, whose row agrees with the
+    // reference oracle's.
+    DramModule fast(specWithSense(true));
+    DramModule ref(specWithSense(false));
+    uint32_t nbits = fast.geometry().bitlinesPerRow;
+    const dram::Calibration &cal = fast.calibration();
+    // railMv * exp(-10 / tauEqNs) ~ 2 mV: still a race, far from
+    // dominating the ~singleRowKickMv cell pull.
+    const double gap_ns = 10.0;
 
-    std::vector<std::vector<uint64_t>> rows;
-    for (DramModule *module : {&with, &without}) {
+    for (DramModule *module : {&fast, &ref}) {
         softmc::SoftMcHost host(*module);
         host.writeRowFill(0, 8, true);
         pokeNoiseRow(module->bank(0), 16, nbits, 31);
         host.act(0, 8);
         host.wait(cal.rowCloneSrcOpenNs);
         host.pre(0);
-        // railMv * exp(-10 / tauEqNs) ~ 2 mV: still a race, far from
-        // dominating the ~singleRowKickMv cell pull.
-        host.wait(10.0);
+        host.wait(gap_ns);
         host.act(0, 16);
         host.wait(host.timing().tRAS);
         host.preObeyed(0);
-        rows.push_back(module->bank(0).peekRow(16));
     }
-    EXPECT_EQ(rows[0], rows[1]) << "decayed-race rows differ";
-    EXPECT_EQ(with.bank(0).residRaceFastPaths(), 0u);
-    EXPECT_EQ(without.bank(0).residRaceFastPaths(), 0u);
+    EXPECT_EQ(fast.bank(0).residRaceFastPaths(), 0u);
+    EXPECT_EQ(ref.bank(0).residRaceFastPaths(), 0u);
+
+    // The same race, analytically, on a fresh destination row.
+    std::vector<uint64_t> ones(fast.geometry().wordsPerRow(),
+                               ~uint64_t{0});
+    pokeNoiseRow(fast.bank(0), 24, nbits, 31);
+    pokeNoiseRow(ref.bank(0), 24, nbits, 31);
+    uint64_t fired = fast.bank(0).saturatedRowFastPaths();
+    auto pf = fast.bank(0).racedActivateProbabilities(24, ones, gap_ns);
+    auto pr = ref.bank(0).racedActivateProbabilities(24, ones, gap_ns);
+    EXPECT_EQ(fast.bank(0).saturatedRowFastPaths(), fired);
+    ASSERT_EQ(pf.size(), pr.size());
+    bool metastable = false;
+    for (uint32_t b = 0; b < nbits; ++b) {
+        ASSERT_NEAR(pf[b], pr[b], 1e-5) << "bitline " << b;
+        metastable = metastable || (pr[b] > 0.0f && pr[b] < 1.0f);
+    }
+    EXPECT_TRUE(metastable);
 }
 
-TEST(SaturationFastPath, UncachedOracleScansOffsetsAndStaysIdentical)
+/** Module at the test spec's seed, built at the given point. */
+ModuleSpec
+specAt(double temperature_c, double age_days)
 {
-    // The fast-path must also work (and stay bit-identical) when the
-    // variation-oracle row cache is disabled and the max |offset| is
-    // computed by scanning the scratch row.
-    ModuleSpec spec_on = specWithSaturation(true);
-    spec_on.oracleCache = false;
-    ModuleSpec spec_off = specWithSaturation(false);
-    DramModule with(std::move(spec_on));
-    DramModule without(std::move(spec_off));
+    ModuleSpec spec = specWithSense(true);
+    spec.temperatureC = temperature_c;
+    spec.ageDays = age_days;
+    return spec;
+}
 
-    std::vector<uint64_t> ones(with.geometry().wordsPerRow(),
-                               ~uint64_t{0});
-    auto pw = with.bank(2).racedActivateProbabilities(33, ones, 2.5);
-    auto pn = without.bank(2).racedActivateProbabilities(33, ones, 2.5);
-    EXPECT_EQ(pw, pn);
-    EXPECT_GT(with.bank(2).saturatedRowFastPaths(), 0u);
+TEST(SenseCacheCoherence, RetunedModuleMatchesFreshModule)
+{
+    // The oracle-row caches key SA offsets by temperature and age.
+    // Warm them at 50 degC / day 0 past both capacities (so eviction
+    // runs), then retune the temperature, then the age: after each
+    // step every analytic query must equal that of a module built at
+    // the new operating point. The queries draw no noise, so the
+    // equality is exact.
+    const uint32_t segments = 12; // 12 offset rows, 48 cap rows
+    const uint32_t first_row = 64;
+    const uint32_t rows = 40; // early-read/raced offset and cap rows
+    static_assert(segments * Geometry::rowsPerSegment >
+                  Bank::capCacheCapacity);
+    static_assert(rows > Bank::offsetCacheCapacity);
+
+    DramModule retuned(specAt(50.0, 0.0));
+    DramModule fresh_hot(specAt(85.0, 0.0));
+    DramModule fresh_aged(specAt(85.0, 30.0));
+    uint32_t nbits = retuned.geometry().bitlinesPerRow;
+    std::vector<uint64_t> resid(retuned.geometry().wordsPerRow());
+    for (size_t w = 0; w < resid.size(); ++w)
+        resid[w] = 0x9E3779B97F4A7C15ULL * (w + 1);
+    for (DramModule *module : {&retuned, &fresh_hot, &fresh_aged}) {
+        for (uint32_t seg = 0; seg < segments; ++seg)
+            module->bank(0).pokeSegmentPattern(seg, 0b1110);
+        for (uint32_t row = first_row; row < first_row + rows; ++row)
+            pokeNoiseRow(module->bank(0), row, nbits, row);
+    }
+
+    // One query per segment, then two per row. Each pass runs the
+    // sequence in the opposite order of the previous one, so it
+    // starts on the entries the previous pass left resident.
+    const Calibration &cal = retuned.calibration();
+    auto queryAll = [&](Bank &bank, bool reverse) {
+        size_t count = segments + 2 * rows;
+        std::vector<std::vector<float>> out;
+        for (size_t k = 0; k < count; ++k) {
+            size_t q = reverse ? count - 1 - k : k;
+            if (q < segments) {
+                out.push_back(
+                    bank.quacProbabilities(static_cast<uint32_t>(q)));
+                continue;
+            }
+            uint32_t row =
+                first_row + static_cast<uint32_t>(q - segments) / 2;
+            if ((q - segments) % 2 == 0)
+                out.push_back(
+                    bank.earlyReadProbabilities(row, cal.drangeReadNs));
+            else
+                out.push_back(
+                    bank.racedActivateProbabilities(row, resid, 10.0));
+        }
+        return out;
+    };
+    queryAll(retuned.bank(0), false); // warm at 50 degC, day 0
+    retuned.setTemperature(85.0);
+    EXPECT_EQ(queryAll(retuned.bank(0), true),
+              queryAll(fresh_hot.bank(0), true))
+        << "stale offsets after a temperature change";
+    retuned.setAgeDays(30.0);
+    EXPECT_EQ(queryAll(retuned.bank(0), false),
+              queryAll(fresh_aged.bank(0), false))
+        << "stale offsets after an age change";
 }
 
 TEST(SenseCacheEviction, SecondChanceKeepsHotEntry)

@@ -172,6 +172,36 @@ TEST(ProbabilityOneBatch, SnapsDegenerateTailsExactly)
     EXPECT_EQ(out[4], 0.0f);
 }
 
+TEST(ProbabilityOneBatch, SaturatedTailsAreExactConstants)
+{
+    // The saturation fast-path emits 1.0f / 0.0f for every bitline
+    // whose |dev - offset| / sigma is >= saturationZ on one side,
+    // without evaluating Phi. That is bit-identical only if the batch
+    // kernel itself snaps the whole range to exactly those constants:
+    // sweep z from saturationZ outward on both tails, at several
+    // sigmas and offsets.
+    for (double sigma : {0.12, 1.0, 5.4}) {
+        for (double offset_mv : {-30.0, 0.0, 17.5}) {
+            std::vector<double> dev;
+            std::vector<double> offset;
+            for (double z = saturationZ; z <= 60.0; z += 0.0137) {
+                dev.push_back(offset_mv + z * sigma);
+                dev.push_back(offset_mv - z * sigma);
+                offset.push_back(offset_mv);
+                offset.push_back(offset_mv);
+            }
+            std::vector<float> out(dev.size());
+            probabilityOneBatch(dev.data(), offset.data(), sigma,
+                                out.data(), out.size());
+            for (size_t i = 0; i < out.size(); ++i) {
+                ASSERT_EQ(out[i], i % 2 == 0 ? 1.0f : 0.0f)
+                    << "sigma=" << sigma << " offset=" << offset_mv
+                    << " dev=" << dev[i];
+            }
+        }
+    }
+}
+
 TEST(ProbabilityOneBatch, RejectsNonPositiveSigma)
 {
     double dev = 0.0, offset = 0.0;
