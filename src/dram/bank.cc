@@ -189,6 +189,9 @@ Bank::activate(uint32_t row, double t)
         fatal("ACT row %u out of range", row);
     if (phase_ == Phase::Opening || phase_ == Phase::Open)
         fatal("ACT on bank %u while a row is open (missing PRE)", bankId_);
+    if (t < preTime_)
+        fatal("ACT at %.2f ns on bank %u precedes its PRE at %.2f ns",
+              t, bankId_, preTime_);
 
     double gap = t - preTime_;
     bool latches_survive = latches_.valid && preRasViolated_ &&

@@ -70,7 +70,7 @@ class Bank
 
     /** @name Timed command interface (times in ns, non-decreasing) */
     /**@{*/
-    /** Activate @p row at time @p t. */
+    /** Activate @p row at time @p t (fatal() before the last PRE). */
     void activate(uint32_t row, double t);
 
     /** Precharge the bank at time @p t. */

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
 #include <numeric>
 
@@ -47,35 +46,6 @@ namespace
 {
 
 /**
- * Ring cursors pack a 16-bit storage generation over a 48-bit
- * monotonic byte position. Positions never wrap in practice (2^48
- * bytes per shard outlives any run); the generation only changes
- * when the ring storage itself is replaced, which is what fences
- * in-flight lock-free claims off the old buffer.
- */
-constexpr uint64_t kCursorPosBits = 48;
-constexpr uint64_t kCursorPosMask =
-    (uint64_t{1} << kCursorPosBits) - 1;
-
-constexpr uint64_t
-packCursor(uint64_t gen, uint64_t pos)
-{
-    return (gen << kCursorPosBits) | (pos & kCursorPosMask);
-}
-
-constexpr uint64_t
-cursorGen(uint64_t word)
-{
-    return word >> kCursorPosBits;
-}
-
-constexpr uint64_t
-cursorPos(uint64_t word)
-{
-    return word & kCursorPosMask;
-}
-
-/**
  * Weight of a shard's recent p95 latency in its placement load score,
  * in load units per ns: ~1 us of recent tail latency outweighs a
  * completely drained buffer, so a shard whose clients keep missing to
@@ -86,7 +56,7 @@ constexpr double kPlacementLatencyWeight = 1.0e-3;
 
 /**
  * Weight of a shard's queued modelled work (busy horizon, see
- * busyHorizonNs) in its load score, in load units per ns. The windowed
+ * loadOf) in its load score, in load units per ns. The windowed
  * p95 only sees completed requests, so a shard that just absorbed a
  * burst of misses looks idle to it until those latencies retire; the
  * horizon term repels placements from work already committed but not
@@ -230,7 +200,6 @@ EntropyService::EntropyService(std::vector<core::Trng *> backends,
         shard->backendIndex.store(backend_index,
                                   std::memory_order_relaxed);
         shard->homeBackend = backend_index;
-        shard->backend = backends_[backend_index];
         shard->recent = RecentLatencyWindow(cfg_.recentLatencyWindow);
         ++sourcingCount_[backend_index];
         shards_.push_back(std::move(shard));
@@ -246,26 +215,20 @@ EntropyService::chunkLocked(Shard &shard)
             // (characterization); deferred to first use so
             // construction stays cheap and setup sees the module
             // state at refill time.
-            MutexLock backend_lock(
-                // relaxed: backendIndex only changes under the shard
-                // mutex held here.
-                *backendLocks_[shard.backendIndex.load(
-                    std::memory_order_relaxed)]);
-            shard.chunk = shard.backend->preferredChunkBytes();
+            // relaxed: backendIndex only changes under the shard
+            // mutex held here.
+            size_t b =
+                shard.backendIndex.load(std::memory_order_relaxed);
+            MutexLock backend_lock(*backendLocks_[b]);
+            shard.chunk = backends_[b]->preferredChunkBytes();
         }
         shard.chunkKnown = true;
         // Capacity plus one chunk of headroom: refills pull whole
         // backend iterations and discard no generated entropy, so a
         // full shard can exceed capacity by less than one chunk.
         size_t storage = cfg_.shardCapacityBytes + shard.chunk;
-        if (storage != shard.ring.size()) {
-            // Replacing the storage invalidates every outstanding
-            // ring position: fence lock-free readers out first.
-            QUAC_ASSERT(levelOf(shard) == 0,
-                        "resizing a non-flushed ring");
-            ringResetLocked(shard);
-            shard.ring.assign(storage, 0);
-        }
+        if (storage != shard.ring.size())
+            shard.ring.resize(storage);
     }
     return shard.chunk;
 }
@@ -276,135 +239,52 @@ EntropyService::~EntropyService()
 }
 
 size_t
-EntropyService::levelOf(const Shard &shard)
+EntropyService::flushLocked(Shard &shard)
 {
-    // relaxed: paired with the acquire load of tail above; a stale
-    // claim only under-reports the level.
-    uint64_t tail = shard.tail.load(std::memory_order_acquire);
-    uint64_t claim = shard.claim.load(std::memory_order_relaxed);
-    if (cursorGen(tail) != cursorGen(claim))
-        return 0; // cursors mid-reset: the ring is empty anyway
-    uint64_t published = cursorPos(tail);
-    uint64_t claimed = cursorPos(claim);
-    return published > claimed
-               ? static_cast<size_t>(published - claimed)
-               : 0;
+    size_t dropped = shard.ring.flush();
+    if (dropped > 0)
+        wakeRefill();
+    return dropped;
 }
 
-size_t
-EntropyService::ringTake(Shard &shard, uint8_t *out, size_t len,
-                         bool all_or_nothing)
+EntropyService::Draw
+EntropyService::drawFrom(size_t backend, std::span<uint8_t> head,
+                         std::span<uint8_t> wrap)
 {
-    if (len == 0)
-        return 0;
-    // relaxed: first guess only; the CAS below is the synchronizing
-    // operation.
-    uint64_t claim = shard.claim.load(std::memory_order_relaxed);
-    uint64_t gen, pos;
-    size_t take;
-    for (;;) {
-        uint64_t tail = shard.tail.load(std::memory_order_acquire);
-        gen = cursorGen(claim);
-        pos = cursorPos(claim);
-        if (cursorGen(tail) != gen) {
-            // Storage reset in flight; the mutex path handles it.
-            return 0;
+    Draw draw;
+    {
+        MutexLock backend_lock(*backendLocks_[backend]);
+        try {
+            backends_[backend]->fill(head.data(), head.size());
+            if (!wrap.empty())
+                backends_[backend]->fill(wrap.data(), wrap.size());
+            draw.ok = true;
+        } catch (const std::exception &) {
+            // A misbehaving backend must not escape a refill (the
+            // auto-refill thread would std::terminate); callers
+            // decide what the lost draw means.
         }
-        uint64_t avail = cursorPos(tail) - pos;
-        take = static_cast<size_t>(std::min<uint64_t>(len, avail));
-        if (take == 0 || (all_or_nothing && take < len))
-            return 0;
-        // relaxed: CAS failure order — the reloaded claim is retried.
-        // Success is seq_cst, which compiles to the same instruction
-        // as acq_rel on x86-64 and AArch64: this claim is the drain
-        // the refill thread's wake protocol must not miss (see
-        // armAndCheckIdle).
-        if (shard.claim.compare_exchange_weak(
-                claim, packCursor(gen, pos + take),
-                std::memory_order_seq_cst,
-                std::memory_order_relaxed))
-            break;
-        // claim reloaded by the failed CAS; recompute and retry.
+        if (draw.ok && monitor_) {
+            // Observed in stream order, still under the backend lock
+            // so shards sharing the bank cannot reorder observations.
+            draw.changed = monitor_->observe(backend, head.data(),
+                                             head.size());
+            if (!wrap.empty())
+                draw.changed |= monitor_->observe(backend, wrap.data(),
+                                                  wrap.size());
+            if (draw.changed)
+                bumpResourceEpoch();
+            draw.servable = monitor_->servable(backend);
+        }
     }
-    // Storage is only touched after a successful claim: the claim
-    // certifies the generation, and ringResetLocked cannot replace
-    // the buffer until this claim's readDone below retires. The
-    // acquire on tail ordered the producer's byte writes (and any
-    // earlier storage assignment) before these reads.
-    size_t cap = shard.ring.size();
-    size_t start = static_cast<size_t>(pos % cap);
-    size_t first = std::min(take, cap - start);
-    std::memcpy(out, shard.ring.data() + start, first);
-    if (take > first)
-        std::memcpy(out + first, shard.ring.data(), take - first);
-    // Ticket-ordered completion: readDone advances in claim order,
-    // so the producer's overwrite horizon (readDone + capacity)
-    // never runs past an unfinished copy. The wait is bounded by the
-    // memcpys of earlier claimants, who hold no lock.
-    uint64_t ticket = packCursor(gen, pos);
-    while (shard.readDone.load(std::memory_order_acquire) != ticket)
-        std::this_thread::yield();
-    shard.readDone.store(packCursor(gen, pos + take),
-                         std::memory_order_release);
-    return take;
-}
-
-size_t
-EntropyService::ringFlushLocked(Shard &shard)
-{
-    // relaxed: the mutex held here is what fences producers and
-    // resets; the CAS below orders the claim jump.
-    uint64_t tail = shard.tail.load(std::memory_order_relaxed);
-    uint64_t claim = shard.claim.load(std::memory_order_relaxed);
-    // Generations cannot diverge here: resets run under the mutex we
-    // hold. A racing lock-free read may still claim part of the span
-    // before the flush lands; only the remainder is dropped.
-    for (;;) {
-        uint64_t dropped = cursorPos(tail) - cursorPos(claim);
-        if (dropped == 0)
-            return 0;
-        // relaxed: CAS failure order of the retry loop. Success is
-        // seq_cst for the refill wake protocol, as in ringTake.
-        if (shard.claim.compare_exchange_weak(
-                claim, tail, std::memory_order_seq_cst,
-                std::memory_order_relaxed))
-            break;
+    if (!draw.ok) {
+        // relaxed: monotonic stats counter; readers take snapshots
+        // and need no ordering.
+        refillFailures_.fetch_add(1, std::memory_order_relaxed);
+        if (monitor_ && monitor_->reportReadFailure(backend))
+            bumpResourceEpoch();
     }
-    // No reader ever claimed the dropped span, so no ticket will
-    // retire it: readDone must skip it or the producer's free-space
-    // wait in pullLocked would starve once the write horizon wraps.
-    // First let in-flight readers (tickets below the old claim)
-    // retire — they hold no lock, only CPU time — then jump over the
-    // span. New claims cannot start meanwhile: claim == tail means
-    // nothing is available, and publishing more requires the mutex
-    // this thread holds.
-    while (shard.readDone.load(std::memory_order_acquire) != claim)
-        std::this_thread::yield();
-    shard.readDone.store(tail, std::memory_order_release);
-    wakeRefill();
-    return static_cast<size_t>(cursorPos(tail) - cursorPos(claim));
-}
-
-void
-EntropyService::ringResetLocked(Shard &shard)
-{
-    // relaxed: the generation bump is published by the acq_rel exchange
-    // below, not this read.
-    uint64_t fresh = packCursor(
-        cursorGen(shard.claim.load(std::memory_order_relaxed)) + 1,
-        0);
-    // The exchange invalidates every in-flight CAS (old generation)
-    // and hands back the final old-generation claim word, which is
-    // exactly where readDone must arrive before the old storage is
-    // safe to replace.
-    uint64_t drained =
-        shard.claim.exchange(fresh, std::memory_order_acq_rel);
-    while (shard.readDone.load(std::memory_order_acquire) != drained)
-        // relaxed: readers resynchronize through the release store of
-        // tail below.
-        std::this_thread::yield();
-    shard.readDone.store(fresh, std::memory_order_relaxed);
-    shard.tail.store(fresh, std::memory_order_release);
+    return draw;
 }
 
 size_t
@@ -412,110 +292,42 @@ EntropyService::pullLocked(Shard &shard, size_t want)
 {
     if (want == 0)
         return 0;
-    size_t cap = shard.ring.size();
-    QUAC_ASSERT(levelOf(shard) + want <= cap,
-                "ring overflow: %zu + %zu > %zu", levelOf(shard),
-                want, cap);
-    // relaxed: tail is producer-private — only mutex-holding threads
-    // store it, and we hold the mutex.
-    uint64_t tail = shard.tail.load(std::memory_order_relaxed);
-    uint64_t gen = cursorGen(tail);
-    uint64_t tail_pos = cursorPos(tail);
-    // The region about to be written may still be under an in-flight
-    // lock-free copy (readDone trails claim by the claimed ranges);
-    // wait for those copies to retire. They only need CPU time, not
-    // any lock this thread holds.
-    for (;;) {
-        uint64_t done =
-            shard.readDone.load(std::memory_order_acquire);
-        if (cursorGen(done) == gen &&
-            tail_pos - cursorPos(done) + want <= cap)
-            break;
-        std::this_thread::yield();
-    }
-    size_t start = static_cast<size_t>(tail_pos % cap);
-    size_t first = std::min(want, cap - start);
+    SpmcRing::Spans spans = shard.ring.reserve(want);
     // relaxed: backendIndex only changes under the shard mutex held
     // here.
     size_t backend_index =
         shard.backendIndex.load(std::memory_order_relaxed);
-    bool failed = false;
-    bool healthy = true;
-    {
-        MutexLock backend_lock(
-            *backendLocks_[backend_index]);
-        try {
-            shard.backend->fill(shard.ring.data() + start, first);
-            if (want > first)
-                shard.backend->fill(shard.ring.data(), want - first);
-        } catch (const std::exception &) {
-            // The backend misbehaved mid-fill (satellite: this used
-            // to escape the auto-refill thread and std::terminate).
-            // Nothing is admitted to the ring; the shard keeps
-            // serving the bytes it already buffered.
-            failed = true;
-        }
-        if (!failed && monitor_) {
-            // Observe after the fill, in stream order (still under
-            // the backend lock so concurrent sharers can't reorder
-            // their observations).
-            bool changed = monitor_->observe(
-                backend_index, shard.ring.data() + start, first);
-            if (want > first) {
-                changed |= monitor_->observe(backend_index,
-                                             shard.ring.data(),
-                                             want - first);
-            }
-            if (changed)
-                bumpResourceEpoch();
-            // A state transition during this very pull marks the
-            // whole span suspect even if the bank ended it servable
-            // (a large pull over a bounded fault can quarantine AND
-            // re-admit within one observe; admitting those bytes
-            // would serve the detected-bad window between the two
-            // transitions).
-            healthy = !changed && monitor_->servable(backend_index);
-        }
-    }
-    // relaxed: monotonic stats counter(s); readers take snapshots and
-    // need no ordering.
-    if (failed) {
-        refillFailures_.fetch_add(1, std::memory_order_relaxed);
-        if (monitor_ && monitor_->reportReadFailure(backend_index))
-            bumpResourceEpoch();
-        if (monitor_ && !monitor_->servable(backend_index)) {
-            // Repeated failures crossed the quarantine limit: the
-            // buffered bytes are from a now-detected-unhealthy bank.
-            unhealthyBytesDropped_.fetch_add(
-                ringFlushLocked(shard), std::memory_order_relaxed);
-            resourceShardLocked(shard);
-        }
-        return 0;
-    }
-    if (!healthy) {
-        // This very pull detected the collapse: the pulled bytes
-        // were never published (tail unmoved), everything still
+    Draw draw = drawFrom(backend_index, spans.head, spans.wrap);
+    // A failed fill condemns the buffered bytes only once the failure
+    // streak crosses the quarantine limit. A transition during this
+    // very pull marks the whole span suspect even if the bank ended
+    // it servable (a large pull over a bounded fault can quarantine
+    // AND re-admit within one observe; admitting those bytes would
+    // serve the detected-bad window between the two transitions).
+    bool suspect =
+        monitor_ && (draw.ok ? draw.changed || !draw.servable
+                             : !monitor_->servable(backend_index));
+    if (suspect) {
+        // The pulled bytes are never published, everything still
         // buffered from the bank is dropped unserved, and the shard
         // moves to a servable bank.
         // relaxed: monotonic stats counter; readers take snapshots
         // and need no ordering.
         unhealthyBytesDropped_.fetch_add(
-            want + ringFlushLocked(shard),
+            (draw.ok ? want : 0) + flushLocked(shard),
             std::memory_order_relaxed);
         resourceShardLocked(shard);
-        return 0;
     }
-    // Publish: the release store is what hands the freshly written
-    // bytes to lock-free readers.
-    shard.tail.store(packCursor(gen, tail_pos + want),
-                     std::memory_order_release);
+    if (suspect || !draw.ok)
+        return 0; // the shard keeps serving what it buffered
+    shard.ring.publish(want);
     // A full top-up retires the shard's congestion history: the tail
     // the window measured came from an empty buffer that no longer
     // exists, and without this reset a recovered shard that lost its
     // timed traffic (e.g. after its clients migrated away) would
     // repel placements and trip the latency rebalancer forever. If
     // congestion persists, the very next misses rebuild the signal.
-    if (levelOf(shard) >= cfg_.shardCapacityBytes)
+    if (shard.ring.level() >= cfg_.shardCapacityBytes)
         shard.recent.clear();
     return want;
 }
@@ -523,7 +335,7 @@ EntropyService::pullLocked(Shard &shard, size_t want)
 void
 EntropyService::moveShardLocked(Shard &shard, size_t target)
 {
-    QUAC_ASSERT(levelOf(shard) == 0,
+    QUAC_ASSERT(shard.ring.level() == 0,
                 "re-sourcing a non-flushed shard");
     // relaxed: backendIndex only changes under the shard mutex held
     // here.
@@ -534,7 +346,6 @@ EntropyService::moveShardLocked(Shard &shard, size_t target)
         ++sourcingCount_[target];
     }
     shard.backendIndex.store(target, std::memory_order_release);
-    shard.backend = backends_[target];
     // Chunk granularity differs per backend; re-resolve lazily (the
     // resize in chunkLocked is safe: the ring is empty).
     shard.chunkKnown = false;
@@ -591,7 +402,7 @@ EntropyService::revalidateLocked(Shard &shard)
         // The bank was quarantined by someone else's observation
         // (another shard's pull, a probation draw): drop the
         // buffered bytes unserved and move.
-        unhealthyBytesDropped_.fetch_add(ringFlushLocked(shard),
+        unhealthyBytesDropped_.fetch_add(flushLocked(shard),
                                          std::memory_order_relaxed);
         resourceShardLocked(shard);
     } else if (backend_index != shard.homeBackend &&
@@ -601,7 +412,7 @@ EntropyService::revalidateLocked(Shard &shard)
         // next failover. The donor bytes still buffered are healthy
         // but discarded — continuity of the home stream matters
         // more than one ring of spare entropy.
-        ringFlushLocked(shard);
+        flushLocked(shard);
         moveShardLocked(shard, shard.homeBackend);
     }
     // Published only after any flush/re-sourcing above: a lock-free
@@ -615,7 +426,7 @@ EntropyService::deficitLocked(Shard &shard, double frac)
 {
     size_t capacity = cfg_.shardCapacityBytes;
     size_t threshold = watermarkBytes(frac, capacity);
-    size_t buffered = levelOf(shard);
+    size_t buffered = shard.ring.level();
     if (buffered > threshold)
         return 0;
     size_t want = capacity > buffered ? capacity - buffered : 0;
@@ -628,7 +439,7 @@ EntropyService::deficitLocked(Shard &shard, double frac)
 }
 
 size_t
-EntropyService::refillShard(Shard &shard)
+EntropyService::refillShard(Shard &shard, size_t budget_bytes)
 {
     // A full, revalidated shard costs no mutex: under it,
     // revalidateLocked and deficitLocked would both return at once.
@@ -639,13 +450,18 @@ EntropyService::refillShard(Shard &shard)
     size_t want = deficitLocked(shard, cfg_.refillWatermark);
     if (want == 0)
         return 0;
-    size_t added = pullLocked(shard, want);
-    if (added == 0)
-        return 0;
-    // relaxed: monotonic stats counter(s); readers take snapshots and
-    // need no ordering.
-    refills_.fetch_add(1, std::memory_order_relaxed);
-    bytesRefilled_.fetch_add(added, std::memory_order_relaxed);
+    // One pull of as many whole chunks as the budget covers, so a
+    // budget spreads across drained shards; the final chunk may
+    // overshoot by < one chunk.
+    size_t step = shard.chunk > 0 ? shard.chunk : want;
+    size_t chunks = (std::min(budget_bytes, want) + step - 1) / step;
+    size_t added = pullLocked(shard, std::min(want, chunks * step));
+    if (added > 0) {
+        // relaxed: monotonic stats counters; readers take snapshots
+        // and need no ordering.
+        refills_.fetch_add(1, std::memory_order_relaxed);
+        bytesRefilled_.fetch_add(added, std::memory_order_relaxed);
+    }
     return added;
 }
 
@@ -654,7 +470,7 @@ EntropyService::refillBelowWatermark()
 {
     size_t added = 0;
     for (auto &shard : shards_)
-        added += refillShard(*shard);
+        added += refillShard(*shard, ~size_t{0});
     return added;
 }
 
@@ -687,27 +503,8 @@ EntropyService::refillTick(size_t budget_bytes,
     for (size_t index : order) {
         if (budget_bytes == 0)
             break;
-        Shard &shard = *shards_[index];
-        MutexLock lock(shard.mutex);
-        revalidateLocked(shard);
-        size_t want = deficitLocked(shard, cfg_.refillWatermark);
-        if (want == 0)
-            continue;
-        // One pull of as many whole chunks as the budget covers, so
-        // the budget spreads across drained shards; the final chunk
-        // may overshoot by < one chunk.
-        size_t step = shard.chunk > 0 ? shard.chunk : want;
-        size_t chunks =
-            (std::min(budget_bytes, want) + step - 1) / step;
-        size_t pulled =
-            pullLocked(shard, std::min(want, chunks * step));
-        if (pulled == 0)
-            continue;
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
+        size_t pulled = refillShard(*shards_[index], budget_bytes);
         budget_bytes -= std::min(budget_bytes, pulled);
-        refills_.fetch_add(1, std::memory_order_relaxed);
-        bytesRefilled_.fetch_add(pulled, std::memory_order_relaxed);
         added += pulled;
     }
     return added;
@@ -743,7 +540,7 @@ EntropyService::refillDemand(const std::vector<size_t> &shards)
 bool
 EntropyService::belowWatermark(const Shard &shard) const
 {
-    size_t buffered = levelOf(shard);
+    size_t buffered = shard.ring.level();
     return buffered <= watermarkBytes(cfg_.refillWatermark,
                                       cfg_.shardCapacityBytes) &&
            buffered < cfg_.shardCapacityBytes;
@@ -905,7 +702,7 @@ size_t
 EntropyService::level(size_t shard) const
 {
     QUAC_ASSERT(shard < shards_.size(), "shard=%zu", shard);
-    return levelOf(*shards_[shard]);
+    return shards_[shard]->ring.level();
 }
 
 size_t
@@ -927,36 +724,25 @@ EntropyService::shardChunkBytes(size_t shard)
 }
 
 double
-EntropyService::deficitFraction(const Shard &shard) const
-{
-    double capacity = static_cast<double>(cfg_.shardCapacityBytes);
-    size_t buffered =
-        std::min(levelOf(shard), cfg_.shardCapacityBytes);
-    return (capacity - static_cast<double>(buffered)) / capacity;
-}
-
-double
-EntropyService::busyHorizonNs(const Shard &shard) const
-{
-    // Modelled work the shard's backend is already committed to but
-    // has not yet drained. busyUntilNs only ever moves forward under
-    // the shard mutex; latestArrivalNs_ is the service-wide modelled
-    // "now". Untimed workloads never advance either, so the horizon
-    // stays 0 and the score reduces to deficit + p95 exactly.
-    // relaxed: heuristic load-signal reads; momentary staleness only
-    // perturbs a placement score.
-    return std::max(0.0,
-                    shard.busyUntilNs.load(std::memory_order_relaxed) -
-                        latestArrivalNs_.load(
-                            std::memory_order_relaxed));
-}
-
-double
 EntropyService::loadOf(const Shard &shard) const
 {
-    return deficitFraction(shard) +
+    double capacity = static_cast<double>(cfg_.shardCapacityBytes);
+    double buffered = static_cast<double>(
+        std::min(shard.ring.level(), cfg_.shardCapacityBytes));
+    // The busy horizon: modelled work the shard's backend is already
+    // committed to but has not yet drained. busyUntilNs only ever
+    // moves forward under the shard mutex; latestArrivalNs_ is the
+    // service-wide modelled "now". Untimed workloads never advance
+    // either, so the horizon stays 0 and the score reduces to
+    // deficit + p95 exactly.
+    // relaxed: heuristic load-signal reads; momentary staleness only
+    // perturbs a placement score.
+    double horizon = std::max(
+        0.0, shard.busyUntilNs.load(std::memory_order_relaxed) -
+                 latestArrivalNs_.load(std::memory_order_relaxed));
+    return (capacity - buffered) / capacity +
            shard.recent.p95Ns() * kPlacementLatencyWeight +
-           busyHorizonNs(shard) * kPlacementBusyWeight;
+           horizon * kPlacementBusyWeight;
 }
 
 double
@@ -1248,7 +1034,7 @@ EntropyService::retuneBackend(size_t backend,
         // the paper's per-temperature guarantee. A racing lock-free
         // read that already claimed a span keeps it: those bytes
         // were generated (and observed healthy) before the retune.
-        dropped += ringFlushLocked(shard);
+        dropped += flushLocked(shard);
         // The retune may change the backend's iteration geometry;
         // re-resolve the chunk (and ring headroom) lazily, exactly
         // as a re-sourcing does.
@@ -1303,16 +1089,17 @@ EntropyService::syncFillLegacyLocked(Shard &shard, uint8_t *out,
     // every attempt). Catch, count, retry a bounded number of times
     // with a bounded backoff, then surface the last error — the
     // legacy contract that callers see persistent failures holds.
+    // relaxed: backendIndex only changes under the shard mutex held
+    // here.
+    size_t backend_index =
+        shard.backendIndex.load(std::memory_order_relaxed);
     for (uint32_t attempt = 0;; ++attempt) {
         try {
-            MutexLock backend_lock(
-                // relaxed: backendIndex only changes under the shard
-                // mutex held here.
-                *backendLocks_[shard.backendIndex.load(
-                    std::memory_order_relaxed)]);
-            shard.backend->fill(out, need);
+            MutexLock backend_lock(*backendLocks_[backend_index]);
+            backends_[backend_index]->fill(out, need);
             return true;
         } catch (const std::exception &) {
+            // relaxed: monotonic stats counter.
             refillFailures_.fetch_add(1, std::memory_order_relaxed);
             if (attempt >= kSyncFillRetries)
                 throw;
@@ -1336,37 +1123,14 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
         backends_.size() *
         (size_t{kReadFailureLimit} + 1);
     for (size_t attempt = 0; attempt < max_attempts; ++attempt) {
-        bool ok = true;
-        bool changed = false;
         // relaxed: backendIndex only changes under the shard mutex held
         // here.
         size_t backend_index =
             shard.backendIndex.load(std::memory_order_relaxed);
-        {
-            MutexLock backend_lock(
-                *backendLocks_[backend_index]);
-            try {
-                shard.backend->fill(out, need);
-            } catch (const std::exception &) {
-                ok = false;
-            }
-            if (ok) {
-                changed = monitor_->observe(backend_index, out,
-                                            need);
-                if (changed)
-                    bumpResourceEpoch();
-            }
-        }
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
-        if (!ok) {
-            refillFailures_.fetch_add(1, std::memory_order_relaxed);
-            if (monitor_->reportReadFailure(backend_index))
-                bumpResourceEpoch();
-        }
+        Draw draw = drawFrom(backend_index, {out, need});
         // As in pullLocked, any transition during this fill marks
         // its bytes suspect even if the bank ended servable.
-        if (changed || !monitor_->servable(backend_index)) {
+        if (draw.changed || !monitor_->servable(backend_index)) {
             // Either this fill's bytes completed a failing window or
             // the failure streak crossed the limit. The bytes in
             // @p out were never handed to the client — drop them
@@ -1375,7 +1139,7 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
             // snapshots and need no ordering. backendIndex is re-read
             // under the shard mutex held here.
             unhealthyBytesDropped_.fetch_add(
-                (ok ? need : 0) + ringFlushLocked(shard),
+                (draw.ok ? need : 0) + flushLocked(shard),
                 std::memory_order_relaxed);
             resourceShardLocked(shard);
             if (shard.backendIndex.load(std::memory_order_relaxed) ==
@@ -1383,7 +1147,7 @@ EntropyService::syncFillLocked(Shard &shard, uint8_t *out,
                 return false; // nowhere servable left
             continue;
         }
-        if (ok)
+        if (draw.ok)
             return true;
         // Transient failure below the quarantine limit: retry the
         // same bank (the stream position advanced past the fault).
@@ -1540,8 +1304,8 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
     if (!monitor_ ||
         shard.seenEpoch.load(std::memory_order_acquire) ==
             resourceEpoch_.load(std::memory_order_acquire)) {
-        size_t got = ringTake(shard, out, len,
-                              /*all_or_nothing=*/!bulk);
+        size_t got =
+            shard.ring.take(out, len, /*all_or_nothing=*/!bulk);
         if (bulk || got == len) {
             result.bytes = got;
             result.bytesFromBuffer = got;
@@ -1557,8 +1321,8 @@ EntropyService::requestOn(Client::State &client, uint8_t *out,
     MutexLock lock(shard.mutex);
     revalidateLocked(shard);
 
-    size_t from_buffer = ringTake(shard, out, len,
-                                  /*all_or_nothing=*/false);
+    size_t from_buffer =
+        shard.ring.take(out, len, /*all_or_nothing=*/false);
     size_t synchronous_bytes = 0;
     if (from_buffer == len) {
         result.bytes = len;
@@ -1613,26 +1377,7 @@ EntropyService::healthTick()
             state != BankState::Probation)
             continue;
         scratch.resize(window_bytes);
-        bool ok = true;
-        {
-            MutexLock backend_lock(
-                *backendLocks_[b]);
-            try {
-                backends_[b]->fill(scratch.data(), window_bytes);
-            } catch (const std::exception &) {
-                ok = false;
-            }
-            if (ok && monitor_->observe(b, scratch.data(),
-                                        window_bytes))
-                bumpResourceEpoch();
-        }
-        // relaxed: monotonic stats counter(s); readers take snapshots
-        // and need no ordering.
-        if (!ok) {
-            refillFailures_.fetch_add(1, std::memory_order_relaxed);
-            if (monitor_->reportReadFailure(b))
-                bumpResourceEpoch();
-        }
+        drawFrom(b, scratch);
     }
     // Eagerly propagate pending transitions: without this a shard
     // would only flush/re-source on its next request or refill. A

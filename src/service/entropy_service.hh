@@ -25,17 +25,16 @@
  * race-free via per-backend locks, but the interleaving of refills
  * then decides which shard receives which bytes.
  *
- * Request data plane: buffered reads are lock-free. Each shard ring
- * is single-producer/multi-consumer — consumers claim byte ranges by
- * CAS on an atomic cursor, the refill producer publishes bytes with
- * a release-stored tail, and the hot-path bookkeeping (per-client
+ * Request data plane: buffered reads are lock-free. Each shard serves
+ * from a single-producer/multi-consumer ring (service/spmc_ring.hh
+ * holds its contract), and the hot-path bookkeeping (per-client
  * stats, the recent-latency window, per-priority distributions) is
  * sharded or atomic, so a buffer hit never takes Shard::mutex. Slow
  * paths (miss/sync-fill, re-sourcing, retune/flush, storage resize)
- * keep the mutex and fence lock-free readers out via the cursor
- * generation + the resourceEpoch_ revalidation check. This is the
- * only serving plane: a hit must not wait behind a refill that holds
- * the shard mutex for a whole backend fill.
+ * keep the mutex, which serializes the ring's producer calls, and
+ * divert readers through the resourceEpoch_ revalidation check. This
+ * is the only serving plane: a hit must not wait behind a refill that
+ * holds the shard mutex for a whole backend fill.
  */
 
 #ifndef QUAC_SERVICE_ENTROPY_SERVICE_HH
@@ -49,6 +48,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,6 +57,7 @@
 #include "core/trng.hh"
 #include "service/health.hh"
 #include "service/latency_model.hh"
+#include "service/spmc_ring.hh"
 
 namespace quac::service
 {
@@ -655,41 +656,22 @@ class EntropyService
 
   private:
     /**
-     * One shard: a single-producer/multi-consumer ring buffer over a
-     * slice of controller SRAM plus the backend it drains. Storage
-     * holds capacity + one chunk of headroom so refills can pull
-     * whole backend iterations without discarding entropy; it is
-     * sized on the first chunk query (chunkLocked), because asking
-     * the backend for its granularity may run its one-time setup,
-     * which must not happen at construction.
-     *
-     * The ring is addressed by monotonic byte positions packed into
-     * three atomic cursors (16-bit storage generation | 48-bit
-     * position):
-     *
-     *  - tail:     bytes the refill producer has published, stored
-     *              with release after the ring bytes are written;
-     *  - claim:    bytes consumers have claimed — a lock-free read
-     *              CASes it forward, then copies ring[pos % cap);
-     *  - readDone: bytes fully copied out. Consumers advance it in
-     *              claim (ticket) order, and the producer never
-     *              writes past readDone + capacity, so a claimed
-     *              range stays stable for the whole copy.
-     *
-     * Invariant: readDone <= claim <= tail (same generation) and
-     * tail - readDone <= ring.size(). The generation only changes
-     * when the storage itself is replaced (ringResetLocked); an
-     * in-flight CAS from the old generation then fails and the
-     * reader falls back to the mutex path. The mutex still guards
-     * every slow path: refill, sync-fill, re-sourcing, retune/flush
-     * and chunk resolution.
+     * One shard: an SPMC ring over a slice of controller SRAM plus
+     * the backend it drains. The ring holds capacity + one chunk of
+     * headroom so refills can pull whole backend iterations without
+     * discarding entropy; it is sized on the first chunk query
+     * (chunkLocked), because asking the backend for its granularity
+     * may run its one-time setup, which must not happen at
+     * construction. The mutex serializes the ring's producer calls
+     * and guards every slow path: refill, sync-fill, re-sourcing,
+     * retune/flush and chunk resolution.
      */
     struct Shard
     {
         mutable Mutex mutex;
-        core::Trng *backend QUAC_GUARDED_BY(mutex) = nullptr;
-        /** Atomic because the lock-free serve path reads it for the
-         * unhealthy-serve tripwire; written under the mutex. */
+        /** Index into backends_ of the sourcing bank. Atomic because
+         * the lock-free serve path reads it for the unhealthy-serve
+         * tripwire; written under the mutex. */
         std::atomic<size_t> backendIndex{0};
         /** The bank this shard was constructed on; a re-sourced
          * shard returns here once the bank is re-admitted. */
@@ -700,20 +682,9 @@ class EntropyService
         std::atomic<uint64_t> seenEpoch{0};
         size_t chunk QUAC_GUARDED_BY(mutex) = 0;
         bool chunkKnown QUAC_GUARDED_BY(mutex) = false;
-        /**
-         * Ring storage. Deliberately NOT GUARDED_BY(mutex): byte
-         * ranges are owned by the SPMC claim protocol on the atomic
-         * cursors below (a lock-free reader copies a claimed range
-         * with no lock held), so a mutex annotation would be a lie
-         * requiring NO_THREAD_SAFETY_ANALYSIS escapes on the hot
-         * path. Resizing/replacing the vector itself does require
-         * the mutex AND the generation fence (ringResetLocked).
-         */
-        std::vector<uint8_t> ring;
-        /** SPMC cursors; see the struct comment. */
-        std::atomic<uint64_t> claim{0};
-        std::atomic<uint64_t> tail{0};
-        std::atomic<uint64_t> readDone{0};
+        /** Not GUARDED_BY(mutex): lock-free readers take() from it;
+         * only its producer calls need the mutex. */
+        SpmcRing ring;
         /**
          * Simulated time the shard's request path is busy until
          * (latency model): synchronous fills occupy the backend, so
@@ -749,36 +720,31 @@ class EntropyService
      */
     size_t chunkLocked(Shard &shard) QUAC_REQUIRES(shard.mutex);
 
-    /** Buffered, unclaimed bytes (tail - claim); wait-free. */
-    static size_t levelOf(const Shard &shard);
+    /** Drop the shard's buffered bytes and wake the refill thread if
+     * any were dropped. Returns the bytes dropped. */
+    size_t flushLocked(Shard &shard) QUAC_REQUIRES(shard.mutex);
+
+    /** What one backend draw did (drawFrom). */
+    struct Draw
+    {
+        /** The fill returned; false when it threw. */
+        bool ok = false;
+        /** The health monitor changed the bank's state on it. */
+        bool changed = false;
+        /** The bank was servable after a successful draw, read
+         * under its lock. */
+        bool servable = true;
+    };
 
     /**
-     * Claim and copy up to @p len buffered bytes. Lock-free: callers
-     * on the hit path hold no lock; the mutex-held slow paths use
-     * the same claim protocol and race concurrent lock-free readers
-     * benignly. With @p all_or_nothing only a full @p len is ever
-     * claimed (the miss path claims nothing and completes under the
-     * mutex instead of splitting a request across the fence).
-     * Returns bytes copied.
+     * Fill @p head then @p wrap from backend @p backend under its
+     * lock, observing the bytes through the health monitor in stream
+     * order (a state change bumps the resource epoch). A throw is
+     * caught and counted: refillFailures_, then the monitor's
+     * read-failure streak.
      */
-    size_t ringTake(Shard &shard, uint8_t *out, size_t len,
-                    bool all_or_nothing);
-
-    /** Discard the buffered bytes (claim -> tail); shard mutex
-     * held. Returns the bytes dropped. */
-    size_t ringFlushLocked(Shard &shard)
-        QUAC_REQUIRES(shard.mutex);
-
-    /**
-     * Fence lock-free readers off the ring storage: bump the cursor
-     * generation (every in-flight CAS fails over to the mutex),
-     * wait for already-claimed copies to retire, then reset the
-     * cursors to position 0. Shard mutex held, ring already
-     * flushed. Only needed when the storage itself is about to be
-     * replaced (chunk re-resolution after re-sourcing/retuning).
-     */
-    void ringResetLocked(Shard &shard)
-        QUAC_REQUIRES(shard.mutex);
+    Draw drawFrom(size_t backend, std::span<uint8_t> head,
+                  std::span<uint8_t> wrap = {});
 
     /**
      * Pull @p want bytes from the backend into the ring, observing
@@ -844,19 +810,13 @@ class EntropyService
     size_t deficitLocked(Shard &shard, double frac)
         QUAC_REQUIRES(shard.mutex);
 
-    /** Missing buffered bytes as a fraction of capacity (0..1);
-     * wait-free (atomic cursor reads). */
-    double deficitFraction(const Shard &shard) const;
-
-    /** Queued modelled work in ns (busyUntilNs past the latest
-     * modelled arrival, clamped at 0); wait-free. */
-    double busyHorizonNs(const Shard &shard) const;
-
-    /** Placement load score; wait-free. */
+    /** Placement load score (see shardLoad); wait-free. */
     double loadOf(const Shard &shard) const;
 
-    /** Top one shard up to capacity; returns bytes added. */
-    size_t refillShard(Shard &shard);
+    /** Top one shard at or below the watermark up to capacity, in
+     * whole chunks covering at most @p budget_bytes (the last chunk
+     * may overshoot); returns bytes added. */
+    size_t refillShard(Shard &shard, size_t budget_bytes);
 
     /** Would refillShard() pull anything from @p shard's level
      * alone (at or below the watermark, below capacity)? Wait-free. */

@@ -305,10 +305,17 @@ TEST(QuacTrng, RecharacterizeAfterTemperatureChange)
     module.setTemperature(85.0);
     trng.recharacterize();
     ASSERT_TRUE(trng.ready());
-    // Plans may or may not move; the TRNG must still produce data.
+    // The hot characterization must replace every bank's plan: kept
+    // 50 C plans would still generate, but with stale estimates.
+    const auto &plans_hot = trng.plans();
+    ASSERT_EQ(plans_hot.size(), plans_cold.size());
+    for (size_t i = 0; i < plans_hot.size(); ++i) {
+        EXPECT_NE(plans_hot[i].segmentEntropy,
+                  plans_cold[i].segmentEntropy)
+            << "bank plan " << i;
+    }
     auto bytes = trng.generate(128);
     EXPECT_EQ(bytes.size(), 128u);
-    (void)plans_cold;
 }
 
 } // anonymous namespace

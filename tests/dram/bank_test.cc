@@ -13,6 +13,8 @@
 #include "common/error.hh"
 #include "common/stats.hh"
 #include "dram/bank.hh"
+#include "dram/module.hh"
+#include "softmc/host.hh"
 
 namespace quac::dram
 {
@@ -98,6 +100,37 @@ TEST_F(BankTest, ActWithoutPreIsFatal)
     bank.activate(0, 0.0);
     bank.read(0, 13.32);
     EXPECT_THROW(bank.activate(1, 20.0), FatalError);
+}
+
+TEST_F(BankTest, ActBeforeLastPreIsFatal)
+{
+    Bank bank = makeBank();
+    bank.activate(0, 100.0);
+    bank.precharge(150.0);
+    // A backwards gap would grow the precharge residual instead of
+    // decaying it.
+    EXPECT_THROW(bank.activate(16, 149.0), FatalError);
+    bank.activate(16, 150.0);
+}
+
+TEST_F(BankTest, SecondHostBehindTheModuleClockIsFatal)
+{
+    // One host drives the module past t = 1000 ns; a fresh host
+    // starts its cursor at 0. Its ACT used to see a negative gap and
+    // read the first host's all-ones row 8 back as a phantom
+    // RowClone into a row nobody wrote.
+    ModuleSpec spec;
+    spec.geometry = Geometry::testScale();
+    DramModule module(spec);
+    softmc::SoftMcHost first(module);
+    first.writeRowFill(0, 8, true);
+    first.wait(1000.0);
+    ASSERT_GT(first.now(), 1000.0);
+    softmc::SoftMcHost second(module);
+    EXPECT_THROW(second.actObeyed(0, 16), FatalError);
+    second.wait(first.now());
+    second.actObeyed(0, 16);
+    EXPECT_EQ(onesIn(second.readOpenRow(0)), 0u);
 }
 
 TEST_F(BankTest, ReadOnClosedBankIsFatal)

@@ -151,8 +151,6 @@ TEST(FastSense, DegenerateFastExitsAreConstantAcrossTrials)
 
     uint32_t nbits = fast.geometry().bitlinesPerRow;
     std::vector<uint64_t> row(fast.geometry().wordsPerRow());
-    runQuac(fast, host, segment, pattern, row);
-    std::vector<uint64_t> first = row;
     uint32_t degenerate = 0;
     for (int t = 0; t < 64; ++t) {
         runQuac(fast, host, segment, pattern, row);
@@ -166,7 +164,6 @@ TEST(FastSense, DegenerateFastExitsAreConstantAcrossTrials)
                 ++degenerate;
         }
     }
-    (void)first;
     // The balanced pattern still leaves most bitlines degenerate.
     EXPECT_GT(degenerate, nbits / 2);
 }

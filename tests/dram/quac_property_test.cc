@@ -92,17 +92,20 @@ TEST_P(QuacPerSeed, QuacAlwaysOpensFourRowsOnInvertedPair)
     Bank bank(&ctx, 0, GetParam() ^ 0x1234);
     for (unsigned first : {0u, 1u, 2u, 3u}) {
         uint32_t base = geom.firstRowOfSegment(5);
-        bank.activate(base + first, 0.0);
-        bank.precharge(2.5);
-        bank.activate(base + (3 - first), 5.0);
+        // Command times never run backwards: each variant starts on
+        // its own 1 us slot.
+        double t0 = 1000.0 * first;
+        bank.activate(base + first, t0);
+        bank.precharge(t0 + 2.5);
+        bank.activate(base + (3 - first), t0 + 5.0);
         EXPECT_EQ(bank.openRows().size(), 4u)
             << "first offset " << first;
-        bank.read(0, 20.0);
-        bank.precharge(60.0);
+        bank.read(0, t0 + 20.0);
+        bank.precharge(t0 + 60.0);
         // settle fully before the next variant
-        bank.activate(base, 200.0);
-        bank.read(0, 220.0);
-        bank.precharge(260.0);
+        bank.activate(base, t0 + 200.0);
+        bank.read(0, t0 + 220.0);
+        bank.precharge(t0 + 260.0);
     }
 }
 
