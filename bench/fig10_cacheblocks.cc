@@ -42,9 +42,8 @@ main(int argc, char **argv)
         core::CharacterizerConfig cfg;
         cfg.segmentStride = opts.stride;
         cfg.threads = 1;
-        core::SegmentEntropy best = characterizer.bestSegment(cfg);
-        profiles[i] = characterizer.cacheBlockEntropies(
-            0, best.segment, cfg.pattern);
+        profiles[i] =
+            characterizer.profileBanks({0}, cfg).front().bestCacheBlocks;
     }, opts.threads);
 
     Table table({"cache blocks", "avg entropy", "range [min,max]"});

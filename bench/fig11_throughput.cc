@@ -34,10 +34,9 @@ profileFor(const dram::ModuleSpec &spec, uint32_t stride)
     core::CharacterizerConfig cfg;
     cfg.segmentStride = stride;
     cfg.threads = 1;
-    core::SegmentEntropy best = characterizer.bestSegment(cfg);
-    auto cb = characterizer.cacheBlockEntropies(0, best.segment,
-                                                cfg.pattern);
-    auto ranges = core::sibRanges(cb, 256.0);
+    auto ranges = core::sibRanges(
+        characterizer.profileBanks({0}, cfg).front().bestCacheBlocks,
+        256.0);
 
     sched::IterationProfile profile;
     profile.sib = static_cast<uint32_t>(ranges.size());
@@ -151,9 +150,8 @@ main(int argc, char **argv)
         core::Characterizer characterizer(module);
         core::CharacterizerConfig ccfg;
         ccfg.segmentStride = opts.stride;
-        core::SegmentEntropy best = characterizer.bestSegment(ccfg);
-        auto cb = characterizer.cacheBlockEntropies(0, best.segment,
-                                                    ccfg.pattern);
+        auto cb =
+            characterizer.profileBanks({0}, ccfg).front().bestCacheBlocks;
         for (double target : {128.0, 256.0, 512.0}) {
             auto ranges = core::sibRanges(cb, target);
             sched::QuacScheduleConfig cfg;

@@ -26,6 +26,7 @@
 #include "core/characterizer.hh"
 #include "core/trng.hh"
 #include "crypto/sha256.hh"
+#include "dram/catalog.hh"
 #include "dram/segment_model.hh"
 #include "dram/sensing.hh"
 #include "dram/variation.hh"
@@ -734,6 +735,22 @@ BM_SegmentModelConstruct(benchmark::State &state)
     }
 }
 BENCHMARK(BM_SegmentModelConstruct);
+
+void
+BM_QuacTrngSetup(benchmark::State &state)
+{
+    // One served backend's start-up: module build plus the one-time
+    // characterization, at the entropy servers' test-scale config.
+    // Characterization runs on pool threads, hence wall time.
+    for (auto _ : state) {
+        dram::DramModule module(dram::specFor(
+            dram::paperCatalog()[0], dram::Geometry::testScale()));
+        core::QuacTrng trng(module, fourBankConfig());
+        trng.setup();
+        benchmark::DoNotOptimize(trng.plans().data());
+    }
+}
+BENCHMARK(BM_QuacTrngSetup)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void
 BM_VonNeumann_1Mbit(benchmark::State &state)

@@ -56,10 +56,9 @@ main(int argc, char **argv)
         core::CharacterizerConfig cfg;
         cfg.segmentStride = opts.stride;
         cfg.threads = opts.threads;
-        core::SegmentEntropy best = characterizer.bestSegment(cfg);
-        auto cb = characterizer.cacheBlockEntropies(0, best.segment,
-                                                    cfg.pattern);
-        auto ranges = core::sibRanges(cb, 256.0);
+        auto ranges = core::sibRanges(
+            characterizer.profileBanks({0}, cfg).front().bestCacheBlocks,
+            256.0);
         sib_sum += static_cast<double>(ranges.size());
         columns_sum += ranges.empty() ? 0.0 : ranges.back().endColumn;
 

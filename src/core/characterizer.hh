@@ -52,6 +52,19 @@ struct PatternStats
 };
 
 /**
+ * One bank's characterization: every sampled segment's entropy, the
+ * highest-entropy one (the first strict maximum in segment order)
+ * and that segment's per-cache-block entropy.
+ */
+struct BankProfile
+{
+    uint32_t bank = 0;
+    std::vector<SegmentEntropy> segments;
+    SegmentEntropy best;
+    std::vector<double> bestCacheBlocks; ///< Fig 10 series.
+};
+
+/**
  * A contiguous cache-block range holding >= the target Shannon
  * entropy; one SHA-256 input block is read from each range (paper
  * Sections 5.2 and 8).
@@ -72,12 +85,29 @@ std::vector<ColumnRange>
 sibRanges(const std::vector<double> &cache_block_entropy,
           double target = 256.0);
 
-/** Analytic characterization driver over one module. */
+/**
+ * Analytic characterization driver over one module.
+ *
+ * Every sweep is one parallel pass over the (bank, subarray) groups of
+ * the sampled segments: segments of one subarray share their sense
+ * amplifiers, so each task draws the subarray's SA offsets once and
+ * builds its segments' models from them.
+ */
 class Characterizer
 {
   public:
     /** Attach to a module (read-only; uses the variation oracle). */
     explicit Characterizer(const dram::DramModule &module);
+
+    /**
+     * Profile each bank of @p banks in one pass (cfg.bank is
+     * ignored). Each sampled segment's bitline entropies are computed
+     * once; they give both its entropy and, for the best segment,
+     * the cache-block profile.
+     */
+    std::vector<BankProfile>
+    profileBanks(const std::vector<uint32_t> &banks,
+                 const CharacterizerConfig &cfg) const;
 
     /** Entropy of every sampled segment (Fig 9 series). */
     std::vector<SegmentEntropy>
@@ -86,20 +116,9 @@ class Characterizer
     /** The highest-entropy sampled segment. */
     SegmentEntropy bestSegment(const CharacterizerConfig &cfg) const;
 
-    /** Per-cache-block entropy of one segment (Fig 10 series). */
-    std::vector<double>
-    cacheBlockEntropies(uint32_t bank, uint32_t segment,
-                        uint8_t pattern, double temperature_c = 50.0,
-                        double age_days = 0.0) const;
-
     /** All sixteen data patterns over the sampled segments (Fig 8). */
     std::vector<PatternStats>
     patternSweep(const CharacterizerConfig &cfg) const;
-
-    /** Entropy of one (bank, segment, pattern) point. */
-    double segmentEntropy(uint32_t bank, uint32_t segment,
-                          uint8_t pattern, double temperature_c = 50.0,
-                          double age_days = 0.0) const;
 
   private:
     const dram::DramModule &module_;

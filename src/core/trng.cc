@@ -99,23 +99,21 @@ void
 QuacTrng::setup()
 {
     const dram::Geometry &geom = module_.geometry();
-    Characterizer characterizer(module_);
+    CharacterizerConfig ccfg;
+    ccfg.pattern = cfg_.pattern;
+    ccfg.temperatureC = module_.temperature();
+    ccfg.ageDays = module_.ageDays();
+    ccfg.segmentStride = cfg_.characterizeStride;
+    ccfg.threads = cfg_.threads;
+    std::vector<BankProfile> profiles =
+        Characterizer(module_).profileBanks(cfg_.banks, ccfg);
     plans_.clear();
 
-    for (uint32_t bank : cfg_.banks) {
-        CharacterizerConfig ccfg;
-        ccfg.bank = bank;
-        ccfg.pattern = cfg_.pattern;
-        ccfg.temperatureC = module_.temperature();
-        ccfg.ageDays = module_.ageDays();
-        ccfg.segmentStride = cfg_.characterizeStride;
-        ccfg.threads = cfg_.threads;
-
+    for (const BankProfile &profile : profiles) {
         BankPlan plan;
-        plan.bank = bank;
-        SegmentEntropy best = characterizer.bestSegment(ccfg);
-        plan.segment = best.segment;
-        plan.segmentEntropy = best.entropy;
+        plan.bank = profile.bank;
+        plan.segment = profile.best.segment;
+        plan.segmentEntropy = profile.best.entropy;
 
         // Reserve the two bulk-initialization rows in a neighbouring
         // segment of the same subarray (RowClone cannot cross
@@ -136,14 +134,12 @@ QuacTrng::setup()
         plan.oneRow = neighbour + 1;
 
         // SHA input block column ranges at the current temperature.
-        auto cb_entropy = characterizer.cacheBlockEntropies(
-            bank, plan.segment, cfg_.pattern, module_.temperature(),
-            module_.ageDays());
-        plan.ranges = sibRanges(cb_entropy, cfg_.sibEntropyTarget);
+        plan.ranges =
+            sibRanges(profile.bestCacheBlocks, cfg_.sibEntropyTarget);
         if (plan.ranges.empty()) {
             fatal("segment %u of bank %u cannot supply %g bits of "
                   "entropy per block",
-                  plan.segment, bank, cfg_.sibEntropyTarget);
+                  plan.segment, plan.bank, cfg_.sibEntropyTarget);
         }
 
         plans_.push_back(std::move(plan));

@@ -680,7 +680,7 @@ Bank::computeProbabilities(const std::vector<Contribution> &contribs,
 }
 
 void
-Bank::computeOffsetRow(uint32_t row0, std::vector<double> &out) const
+Bank::computeOffsetRow(uint32_t segment, std::vector<double> &out) const
 {
     const Geometry &geom = *ctx_->geom;
     const VariationModel &var = *ctx_->variation;
@@ -688,7 +688,6 @@ Bank::computeOffsetRow(uint32_t row0, std::vector<double> &out) const
     uint32_t nbits = geom.bitlinesPerRow;
     out.resize(nbits);
 
-    uint32_t segment = geom.segmentOfRow(row0);
     double seg_mean = var.segmentMeanMv(bankId_, segment);
     double spatial = var.spatialScale(bankId_, segment);
     double aging = var.agingScale(bankId_, segment, ctx_->ageDays);
@@ -699,7 +698,8 @@ Bank::computeOffsetRow(uint32_t row0, std::vector<double> &out) const
                                                   ctx_->temperatureC);
 
     // Bulk Philox fill of the raw SA offsets, then the scalings.
-    var.saOffsetRowMv(bankId_, row0, nbits, out.data());
+    var.saOffsetRowMv(bankId_, geom.firstRowOfSegment(segment), nbits,
+                      out.data());
 
     uint32_t cb_bits = geom.cacheBlockBits;
     double col_shape = 0.0;
@@ -715,7 +715,8 @@ Bank::computeOffsetRow(uint32_t row0, std::vector<double> &out) const
 const Bank::OffsetRowEntry &
 Bank::offsetRow(uint32_t row0) const
 {
-    auto it = offsetCache_.find(row0);
+    uint32_t segment = ctx_->geom->segmentOfRow(row0);
+    auto it = offsetCache_.find(segment);
     if (it != offsetCache_.end() &&
         it->second.temperatureC == ctx_->temperatureC &&
         it->second.ageDays == ctx_->ageDays) {
@@ -727,10 +728,10 @@ Bank::offsetRow(uint32_t row0) const
     OffsetRowEntry entry;
     entry.temperatureC = ctx_->temperatureC;
     entry.ageDays = ctx_->ageDays;
-    computeOffsetRow(row0, entry.offset);
+    computeOffsetRow(segment, entry.offset);
     for (double offset : entry.offset)
         entry.maxAbsMv = std::max(entry.maxAbsMv, std::fabs(offset));
-    return offsetCache_.insert_or_assign(row0, std::move(entry))
+    return offsetCache_.insert_or_assign(segment, std::move(entry))
         .first->second;
 }
 

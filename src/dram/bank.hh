@@ -168,6 +168,8 @@ class Bank
     uint64_t probCacheHits() const { return probCacheHits_; }
     uint64_t probCacheMisses() const { return probCacheMisses_; }
     size_t capCacheSize() const { return capCache_.size(); }
+    /** Segments with cached SA-offset rows. */
+    size_t offsetCacheSize() const { return offsetCache_.size(); }
     /** Probability rows emitted by the saturation fast-path. */
     uint64_t saturatedRowFastPaths() const { return satRowFastPaths_; }
     /** The subset of saturatedRowFastPaths() resolved straight from
@@ -176,7 +178,7 @@ class Bank
 
     /** Probability-cache capacity before cold entries are evicted. */
     static constexpr size_t probCacheCapacity = 64;
-    /** Oracle-row cache capacities (cap and offset rows). */
+    /** Oracle-row cache capacities (cap rows, offset segments). */
     static constexpr size_t capCacheCapacity = 32;
     static constexpr size_t offsetCacheCapacity = 32;
     /**@}*/
@@ -305,11 +307,13 @@ class Bank
 
     /**
      * Per-bitline effective SA offsets for sensing led by @p row0
-     * (cell-content independent), cached per row and recomputed when
-     * the temperature or age changed since the entry was filled.
+     * (cell-content independent). They depend on the row only through
+     * its segment (segments never straddle a subarray), so they are
+     * cached per segment and recomputed when the temperature or age
+     * changed since the entry was filled.
      */
     const OffsetRowEntry &offsetRow(uint32_t row0) const;
-    void computeOffsetRow(uint32_t row0,
+    void computeOffsetRow(uint32_t segment,
                           std::vector<double> &out) const;
 
     /** Per-bitline cell capacitance factors of @p row (cached). */
@@ -373,6 +377,7 @@ class Bank
     mutable uint64_t satRowFastPaths_ = 0;
     mutable uint64_t residRaceFastPaths_ = 0;
 
+    /** Keyed by segment; capCache_ by row. */
     mutable std::unordered_map<uint32_t, OffsetRowEntry> offsetCache_;
     mutable std::unordered_map<uint32_t, CapRowEntry> capCache_;
 

@@ -11,6 +11,12 @@ DramModule::DramModule(ModuleSpec spec)
                  spec_.entropyScale, spec_.waveScale,
                  spec_.agingDrift30d)
 {
+    // Segments must not straddle a subarray: the sense-amp offsets of
+    // a segment are those of one subarray's SA stripe.
+    if (spec_.geometry.rowsPerSubarray % Geometry::rowsPerSegment != 0)
+        fatal("rowsPerSubarray %u is not a multiple of the %u-row "
+              "segment",
+              spec_.geometry.rowsPerSubarray, Geometry::rowsPerSegment);
     ctx_.geom = &spec_.geometry;
     ctx_.cal = &spec_.calibration;
     ctx_.variation = &variation_;

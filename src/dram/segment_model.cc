@@ -8,10 +8,37 @@
 namespace quac::dram
 {
 
+namespace
+{
+
+/** Raw SA offsets of the subarray holding @p segment. */
+std::vector<double>
+drawSaOffsetRow(const Geometry &geom, const VariationModel &var,
+                uint32_t bank, uint32_t segment)
+{
+    std::vector<double> row(geom.bitlinesPerRow);
+    var.saOffsetRowMv(bank, geom.firstRowOfSegment(segment),
+                      geom.bitlinesPerRow, row.data());
+    return row;
+}
+
+} // anonymous namespace
+
 SegmentModel::SegmentModel(const Geometry &geom, const Calibration &cal,
                            const VariationModel &var, uint32_t bank,
                            uint32_t segment, double temperature_c,
                            double age_days)
+    : SegmentModel(geom, cal, var, bank, segment,
+                   drawSaOffsetRow(geom, var, bank, segment).data(),
+                   temperature_c, age_days)
+{
+}
+
+SegmentModel::SegmentModel(const Geometry &geom, const Calibration &cal,
+                           const VariationModel &var, uint32_t bank,
+                           uint32_t segment,
+                           const double *sa_offset_row_mv,
+                           double temperature_c, double age_days)
     : geom_(geom), cal_(cal), bank_(bank), segment_(segment)
 {
     QUAC_ASSERT(segment < geom.segmentsPerBank(), "segment out of range");
@@ -29,22 +56,21 @@ SegmentModel::SegmentModel(const Geometry &geom, const Calibration &cal,
 
     uint32_t base_row = geom.firstRowOfSegment(segment);
     offsetMv_.resize(nbits);
-    for (auto &caps : cap_)
-        caps.resize(nbits);
+    std::vector<double> caps(nbits);
+    for (uint32_t i = 0; i < Geometry::rowsPerSegment; ++i) {
+        var.cellCapRow(bank, base_row + i, nbits, caps.data());
+        cap_[i].assign(caps.begin(), caps.end());
+    }
 
     uint32_t cb_bits = geom.cacheBlockBits;
     double col_shape = 0.0;
     for (uint32_t b = 0; b < nbits; ++b) {
         if (b % cb_bits == 0)
             col_shape = var.columnShape(b / cb_bits);
-        double offset = (var.saOffsetMv(bank, base_row, b) + seg_mean) /
+        double offset = (sa_offset_row_mv[b] + seg_mean) /
                         (spatial * col_shape * aging) *
                         chip_factor[geom.chipOfBitline(b)];
         offsetMv_[b] = static_cast<float>(offset);
-        for (uint32_t i = 0; i < Geometry::rowsPerSegment; ++i) {
-            cap_[i][b] = static_cast<float>(
-                var.cellCapFactor(bank, base_row + i, b));
-        }
     }
 }
 
@@ -117,11 +143,29 @@ std::vector<double>
 SegmentModel::cacheBlockEntropies(uint8_t pattern,
                                   const QuacWeights &weights) const
 {
-    std::vector<double> bit_h = bitlineEntropies(pattern, weights);
+    return blockSums(bitlineEntropies(pattern, weights));
+}
+
+double
+SegmentModel::segmentAndBlockEntropies(uint8_t pattern,
+                                       std::vector<double> &blocks) const
+{
+    std::vector<double> bit_h = bitlineEntropies(
+        pattern, quacWeights(cal_, 0, cal_.quacGapNs, cal_.quacGapNs));
+    double sum = 0.0;
+    for (double h : bit_h)
+        sum += h;
+    blocks = blockSums(bit_h);
+    return sum;
+}
+
+std::vector<double>
+SegmentModel::blockSums(const std::vector<double> &bitline_entropy) const
+{
     uint32_t cb_bits = geom_.cacheBlockBits;
     std::vector<double> blocks(geom_.cacheBlocksPerRow(), 0.0);
-    for (size_t b = 0; b < bit_h.size(); ++b)
-        blocks[b / cb_bits] += bit_h[b];
+    for (size_t b = 0; b < bitline_entropy.size(); ++b)
+        blocks[b / cb_bits] += bitline_entropy[b];
     return blocks;
 }
 

@@ -49,6 +49,19 @@ class SegmentModel
                  uint32_t segment, double temperature_c = 50.0,
                  double age_days = 0.0);
 
+    /**
+     * As above, with the raw sense-amplifier offsets supplied by the
+     * caller: @p sa_offset_row_mv holds VariationModel::saOffsetRowMv
+     * over the geom.bitlinesPerRow bitlines of the segment's
+     * subarray. Segments of one subarray share their sense
+     * amplifiers, so a characterization pass draws that row once per
+     * subarray; the model is bit-identical to the self-drawing one.
+     */
+    SegmentModel(const Geometry &geom, const Calibration &cal,
+                 const VariationModel &var, uint32_t bank,
+                 uint32_t segment, const double *sa_offset_row_mv,
+                 double temperature_c = 50.0, double age_days = 0.0);
+
     uint32_t segment() const { return segment_; }
     uint32_t bank() const { return bank_; }
 
@@ -80,6 +93,14 @@ class SegmentModel
                                             const QuacWeights &weights)
         const;
 
+    /**
+     * segmentEntropy(pattern) and, into @p blocks,
+     * cacheBlockEntropies(pattern), both from one bitlineEntropies()
+     * pass; bit-identical to the two separate calls.
+     */
+    double segmentAndBlockEntropies(uint8_t pattern,
+                                    std::vector<double> &blocks) const;
+
     /** Effective offsets (mV) per bitline (exposed for tests). */
     const std::vector<float> &offsetsMv() const { return offsetMv_; }
 
@@ -87,6 +108,10 @@ class SegmentModel
     double noiseSigmaMv() const { return noiseSigmaMv_; }
 
   private:
+    /** Per-cache-block sums of per-bitline entropies. */
+    std::vector<double>
+    blockSums(const std::vector<double> &bitline_entropy) const;
+
     const Geometry &geom_;
     const Calibration &cal_;
     uint32_t bank_;

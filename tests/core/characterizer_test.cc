@@ -9,6 +9,7 @@
 
 #include "common/error.hh"
 #include "core/characterizer.hh"
+#include "dram/catalog.hh"
 
 namespace quac::core
 {
@@ -114,9 +115,9 @@ TEST_F(CharacterizerTest, BestSegmentIsArgmax)
     for (const auto &se : entropies)
         max_entropy = std::max(max_entropy, se.entropy);
     EXPECT_DOUBLE_EQ(best.entropy, max_entropy);
-    EXPECT_DOUBLE_EQ(
-        characterizer.segmentEntropy(0, best.segment, cfg.pattern),
-        best.entropy);
+    dram::SegmentModel model(module.geometry(), module.calibration(),
+                             module.variation(), 0, best.segment);
+    EXPECT_DOUBLE_EQ(model.segmentEntropy(cfg.pattern), best.entropy);
 }
 
 TEST_F(CharacterizerTest, PatternSweepOrdering)
@@ -149,14 +150,13 @@ TEST_F(CharacterizerTest, PatternSweepOrdering)
 TEST_F(CharacterizerTest, CacheBlockProfile)
 {
     CharacterizerConfig cfg;
-    SegmentEntropy best = characterizer.bestSegment(cfg);
-    auto blocks = characterizer.cacheBlockEntropies(0, best.segment,
-                                                    cfg.pattern);
+    BankProfile profile = characterizer.profileBanks({0}, cfg).front();
+    const std::vector<double> &blocks = profile.bestCacheBlocks;
     EXPECT_EQ(blocks.size(), module.geometry().cacheBlocksPerRow());
     double sum = 0.0;
     for (double h : blocks)
         sum += h;
-    EXPECT_NEAR(sum, best.entropy, 1e-6);
+    EXPECT_NEAR(sum, profile.best.entropy, 1e-6);
 }
 
 TEST_F(CharacterizerTest, TemperatureShiftsEntropy)
@@ -174,6 +174,173 @@ TEST_F(CharacterizerTest, InvalidBankPanics)
     CharacterizerConfig cfg;
     cfg.bank = module.geometry().banks;
     EXPECT_THROW(characterizer.segmentEntropies(cfg), PanicError);
+}
+
+TEST_F(CharacterizerTest, StrideZeroPanics)
+{
+    CharacterizerConfig cfg;
+    cfg.segmentStride = 0;
+    EXPECT_THROW(characterizer.segmentEntropies(cfg), PanicError);
+    EXPECT_THROW(characterizer.patternSweep(cfg), PanicError);
+}
+
+/**
+ * The reference the grouped pass must reproduce bit for bit: one
+ * self-drawing SegmentModel per sampled segment, and the first strict
+ * maximum in segment order as the best segment.
+ */
+BankProfile
+referenceProfile(const dram::DramModule &module, uint32_t bank,
+                 const CharacterizerConfig &cfg)
+{
+    const dram::Geometry &geom = module.geometry();
+    BankProfile ref;
+    ref.bank = bank;
+    for (uint32_t s = 0; s < geom.segmentsPerBank();
+         s += cfg.segmentStride) {
+        dram::SegmentModel model(geom, module.calibration(),
+                                 module.variation(), bank, s,
+                                 cfg.temperatureC, cfg.ageDays);
+        SegmentEntropy se{s, model.segmentEntropy(cfg.pattern)};
+        ref.segments.push_back(se);
+        if (s == 0 || se.entropy > ref.best.entropy) {
+            ref.best = se;
+            ref.bestCacheBlocks = model.cacheBlockEntropies(cfg.pattern);
+        }
+    }
+    return ref;
+}
+
+void
+expectSameProfile(const BankProfile &got, const BankProfile &ref)
+{
+    EXPECT_EQ(got.bank, ref.bank);
+    ASSERT_EQ(got.segments.size(), ref.segments.size());
+    for (size_t i = 0; i < ref.segments.size(); ++i) {
+        EXPECT_EQ(got.segments[i].segment, ref.segments[i].segment);
+        // Bitwise: the pass must not change a single rounding.
+        EXPECT_EQ(got.segments[i].entropy, ref.segments[i].entropy)
+            << "bank " << ref.bank << " segment "
+            << ref.segments[i].segment;
+    }
+    EXPECT_EQ(got.best.segment, ref.best.segment);
+    EXPECT_EQ(got.best.entropy, ref.best.entropy);
+    EXPECT_EQ(got.bestCacheBlocks, ref.bestCacheBlocks);
+}
+
+TEST(GroupedCharacterization, MatchesSelfDrawnModelsOnEveryServedModule)
+{
+    // The five catalogue modules the entropy servers and e2ebench
+    // build (test scale, seed + index), at QuacTrng's test-scale
+    // sampling stride.
+    const std::vector<uint32_t> banks = {0, 1, 2, 3};
+    for (size_t m = 0; m < 5; ++m) {
+        dram::ModuleSpec spec = dram::specFor(
+            dram::paperCatalog()[m], dram::Geometry::testScale());
+        spec.seed += m;
+        dram::DramModule module(std::move(spec));
+        CharacterizerConfig cfg;
+        cfg.segmentStride = 4;
+        cfg.threads = 3;
+        SCOPED_TRACE(dram::paperCatalog()[m].name);
+        auto profiles = Characterizer(module).profileBanks(banks, cfg);
+        ASSERT_EQ(profiles.size(), banks.size());
+        for (size_t b = 0; b < banks.size(); ++b)
+            expectSameProfile(profiles[b],
+                              referenceProfile(module, banks[b], cfg));
+    }
+}
+
+TEST(GroupedCharacterization, SingleBankSweepsMatchSelfDrawnModels)
+{
+    // Stride 3 makes groups of uneven size.
+    dram::DramModule module(testSpec());
+    Characterizer characterizer(module);
+    CharacterizerConfig cfg;
+    cfg.bank = 6;
+    cfg.segmentStride = 3;
+    BankProfile ref = referenceProfile(module, cfg.bank, cfg);
+    auto entropies = characterizer.segmentEntropies(cfg);
+    ASSERT_EQ(entropies.size(), ref.segments.size());
+    for (size_t i = 0; i < entropies.size(); ++i) {
+        EXPECT_EQ(entropies[i].segment, ref.segments[i].segment);
+        EXPECT_EQ(entropies[i].entropy, ref.segments[i].entropy);
+    }
+    SegmentEntropy best = characterizer.bestSegment(cfg);
+    EXPECT_EQ(best.segment, ref.best.segment);
+    EXPECT_EQ(best.entropy, ref.best.entropy);
+}
+
+TEST(GroupedCharacterization, HotAgedModuleMatchesSelfDrawnModels)
+{
+    dram::DramModule module(
+        dram::specFor(dram::paperCatalog()[2],
+                      dram::Geometry::testScale()));
+    CharacterizerConfig cfg;
+    cfg.temperatureC = 85.0;
+    cfg.ageDays = 30.0;
+    cfg.segmentStride = 2;
+    auto profiles = Characterizer(module).profileBanks({5, 1}, cfg);
+    ASSERT_EQ(profiles.size(), 2u);
+    expectSameProfile(profiles[0], referenceProfile(module, 5, cfg));
+    expectSameProfile(profiles[1], referenceProfile(module, 1, cfg));
+}
+
+TEST(GroupedCharacterization, PatternSweepMatchesSelfDrawnModels)
+{
+    dram::DramModule module(
+        dram::specFor(dram::paperCatalog()[0],
+                      dram::Geometry::testScale()));
+    CharacterizerConfig cfg;
+    cfg.bank = 3;
+    cfg.segmentStride = 4;
+    auto stats = Characterizer(module).patternSweep(cfg);
+
+    // The sweep's own arithmetic over self-drawn models, in segment
+    // order.
+    const dram::Geometry &geom = module.geometry();
+    auto patterns = dram::allPatterns();
+    ASSERT_EQ(stats.size(), patterns.size());
+    std::vector<double> sum_cb(patterns.size(), 0.0);
+    std::vector<double> max_cb(patterns.size(), 0.0);
+    size_t blocks_total = 0;
+    size_t segments = 0;
+    for (uint32_t s = 0; s < geom.segmentsPerBank();
+         s += cfg.segmentStride) {
+        dram::SegmentModel model(geom, module.calibration(),
+                                 module.variation(), cfg.bank, s);
+        ++segments;
+        for (size_t p = 0; p < patterns.size(); ++p) {
+            double seg_sum = 0.0;
+            double seg_max = 0.0;
+            auto blocks = model.cacheBlockEntropies(patterns[p]);
+            for (double h : blocks) {
+                seg_sum += h;
+                seg_max = std::max(seg_max, h);
+            }
+            sum_cb[p] += seg_sum;
+            max_cb[p] = std::max(max_cb[p], seg_max);
+            if (p == 0)
+                blocks_total += blocks.size();
+        }
+    }
+    for (size_t p = 0; p < patterns.size(); ++p) {
+        EXPECT_EQ(stats[p].pattern, patterns[p]);
+        EXPECT_EQ(stats[p].avgCacheBlockEntropy,
+                  sum_cb[p] / static_cast<double>(blocks_total));
+        EXPECT_EQ(stats[p].maxCacheBlockEntropy, max_cb[p]);
+        EXPECT_EQ(stats[p].avgSegmentEntropy,
+                  sum_cb[p] / static_cast<double>(segments));
+    }
+}
+
+TEST(GroupedCharacterization, RejectsBankOutOfRange)
+{
+    dram::DramModule module(testSpec());
+    CharacterizerConfig cfg;
+    EXPECT_THROW(Characterizer(module).profileBanks(
+                     {0, module.geometry().banks}, cfg),
+                 PanicError);
 }
 
 } // anonymous namespace

@@ -9,6 +9,7 @@
 
 #include "common/error.hh"
 #include "core/trng.hh"
+#include "dram/segment_model.hh"
 #include "nist/sts.hh"
 #include "softmc/host.hh"
 
@@ -316,6 +317,63 @@ TEST(QuacTrng, RecharacterizeAfterTemperatureChange)
     }
     auto bytes = trng.generate(128);
     EXPECT_EQ(bytes.size(), 128u);
+}
+
+TEST(QuacTrng, PlansMatchPerSegmentReference)
+{
+    // setup() takes its plans from one grouped characterization pass;
+    // they must equal the plans built from one self-drawing model per
+    // sampled segment (first strict maximum, then its block profile).
+    dram::DramModule module(testSpec(77));
+    QuacTrngConfig cfg = testConfig();
+    cfg.banks = {3, 0, 5};
+    cfg.characterizeStride = 4;
+    QuacTrng trng(module, cfg);
+    trng.setup();
+    const dram::Geometry &geom = module.geometry();
+    ASSERT_EQ(trng.plans().size(), cfg.banks.size());
+    for (size_t i = 0; i < cfg.banks.size(); ++i) {
+        uint32_t best = 0;
+        double best_h = 0.0;
+        std::vector<double> best_blocks;
+        for (uint32_t s = 0; s < geom.segmentsPerBank();
+             s += cfg.characterizeStride) {
+            dram::SegmentModel model(geom, module.calibration(),
+                                     module.variation(), cfg.banks[i], s);
+            double h = model.segmentEntropy(cfg.pattern);
+            if (s == 0 || h > best_h) {
+                best = s;
+                best_h = h;
+                best_blocks = model.cacheBlockEntropies(cfg.pattern);
+            }
+        }
+        const QuacTrng::BankPlan &plan = trng.plans()[i];
+        EXPECT_EQ(plan.bank, cfg.banks[i]);
+        EXPECT_EQ(plan.segment, best);
+        EXPECT_EQ(plan.segmentEntropy, best_h);
+        auto ranges = sibRanges(best_blocks, cfg.sibEntropyTarget);
+        ASSERT_EQ(plan.ranges.size(), ranges.size());
+        for (size_t r = 0; r < ranges.size(); ++r) {
+            EXPECT_EQ(plan.ranges[r].beginColumn, ranges[r].beginColumn);
+            EXPECT_EQ(plan.ranges[r].endColumn, ranges[r].endColumn);
+            EXPECT_EQ(plan.ranges[r].entropy, ranges[r].entropy);
+        }
+    }
+}
+
+TEST(QuacTrng, EachBankCachesTwoOffsetSegments)
+{
+    // An iteration senses two segments per bank: the reserved source
+    // rows' segment (RowClone copies) and the QUAC segment. The bank
+    // caches SA offsets per segment, so its six rows need two entries.
+    dram::DramModule module(testSpec());
+    QuacTrng trng(module, testConfig());
+    (void)trng.generate(4 * trng.preferredChunkBytes());
+    for (const auto &plan : trng.plans()) {
+        EXPECT_EQ(module.bank(plan.bank).offsetCacheSize(), 2u);
+        EXPECT_EQ(module.bank(plan.bank).capCacheSize(), 6u);
+    }
+    EXPECT_EQ(module.bank(7).offsetCacheSize(), 0u);
 }
 
 } // anonymous namespace

@@ -384,12 +384,14 @@ TEST(SenseCacheCoherence, RetunedModuleMatchesFreshModule)
     // step every analytic query must equal that of a module built at
     // the new operating point. The queries draw no noise, so the
     // equality is exact.
-    const uint32_t segments = 12; // 12 offset rows, 48 cap rows
+    const uint32_t segments = 12; // 12 offset segments, 48 cap rows
     const uint32_t first_row = 64;
-    const uint32_t rows = 40; // early-read/raced offset and cap rows
+    // Early-read/raced rows: 96 cap rows over 24 offset segments.
+    const uint32_t rows = 96;
     static_assert(segments * Geometry::rowsPerSegment >
                   Bank::capCacheCapacity);
-    static_assert(rows > Bank::offsetCacheCapacity);
+    static_assert(segments + rows / Geometry::rowsPerSegment >
+                  Bank::offsetCacheCapacity);
 
     DramModule retuned(specAt(50.0, 0.0));
     DramModule fresh_hot(specAt(85.0, 0.0));
@@ -439,6 +441,46 @@ TEST(SenseCacheCoherence, RetunedModuleMatchesFreshModule)
     EXPECT_EQ(queryAll(retuned.bank(0), false),
               queryAll(fresh_aged.bank(0), false))
         << "stale offsets after an age change";
+}
+
+TEST(SenseCacheCoherence, RowsOfOneSegmentMatchFreshModules)
+{
+    // SA offsets are cached per segment: the first query on a row
+    // fills the entry that the segment's other rows then reuse. Each
+    // query on the warm bank must equal the same query on a module
+    // that has never sensed anything, whichever row came first; rows
+    // of the neighbouring segments 16 and 18 interleave so that
+    // entries shared too widely would show.
+    const uint32_t segment = 17;
+    const uint32_t first = segment * Geometry::rowsPerSegment;
+    const uint32_t order[] = {first + 2, first - 1, first,
+                              first + 4, first + 3, first + 1};
+    auto poke = [&](DramModule &module) {
+        uint32_t nbits = module.geometry().bitlinesPerRow;
+        for (uint32_t row : order)
+            pokeNoiseRow(module.bank(0), row, nbits, 3 * row + 1);
+    };
+    DramModule warm(specAt(70.0, 0.0));
+    poke(warm);
+    const Calibration &cal = warm.calibration();
+    std::vector<uint64_t> resid(warm.geometry().wordsPerRow());
+    for (size_t w = 0; w < resid.size(); ++w)
+        resid[w] = 0xD1B54A32D192ED03ULL * (w + 3);
+    for (uint32_t row : order) {
+        DramModule fresh(specAt(70.0, 0.0));
+        poke(fresh);
+        EXPECT_EQ(warm.bank(0).earlyReadProbabilities(row,
+                                                      cal.drangeReadNs),
+                  fresh.bank(0).earlyReadProbabilities(row,
+                                                       cal.drangeReadNs))
+            << "row " << row;
+        EXPECT_EQ(warm.bank(0).racedActivateProbabilities(row, resid, 10.0),
+                  fresh.bank(0).racedActivateProbabilities(row, resid,
+                                                           10.0))
+            << "row " << row;
+    }
+    EXPECT_EQ(warm.bank(0).offsetCacheSize(), 3u);
+    EXPECT_EQ(warm.bank(0).capCacheSize(), 6u);
 }
 
 TEST(SenseCacheEviction, SecondChanceKeepsHotEntry)

@@ -30,6 +30,15 @@ TEST(DramModule, ConstructsBanks)
     EXPECT_THROW(module.bank(module.bankCount()), FatalError);
 }
 
+TEST(DramModule, RejectsSegmentsStraddlingSubarrays)
+{
+    // A segment's rows must share one SA stripe: the banks cache SA
+    // offsets per segment.
+    ModuleSpec spec = testSpec();
+    spec.geometry.rowsPerSubarray = 62;
+    EXPECT_THROW(DramModule{spec}, FatalError);
+}
+
 TEST(DramModule, CommandRoundTrip)
 {
     DramModule module(testSpec());

@@ -161,6 +161,50 @@ TEST_F(SegmentModelTest, TemperatureChangesEntropy)
     EXPECT_GT(h_hot, 0.0);
 }
 
+TEST_F(SegmentModelTest, SharedOffsetRowMatchesSelfDrawnModel)
+{
+    // Segments 0..15 share subarray 0's sense amplifiers: one raw
+    // offset row serves all of them, bit for bit.
+    uint32_t nbits = geom.bitlinesPerRow;
+    for (double temperature_c : {50.0, 85.0}) {
+        for (uint32_t bank : {0u, 3u}) {
+            uint32_t subarray_first = 16;
+            std::vector<double> shared(nbits);
+            var.saOffsetRowMv(bank, geom.firstRowOfSegment(subarray_first),
+                              nbits, shared.data());
+            for (uint32_t s = subarray_first; s < subarray_first + 16;
+                 s += 5) {
+                SegmentModel self(geom, cal, var, bank, s, temperature_c,
+                                  7.0);
+                SegmentModel from_row(geom, cal, var, bank, s,
+                                      shared.data(), temperature_c, 7.0);
+                ASSERT_EQ(self.offsetsMv(), from_row.offsetsMv())
+                    << "bank " << bank << " segment " << s;
+                EXPECT_EQ(self.noiseSigmaMv(), from_row.noiseSigmaMv());
+                for (uint8_t pattern : {0b1110, 0b0101}) {
+                    EXPECT_EQ(self.patternProbabilities(pattern),
+                              from_row.patternProbabilities(pattern));
+                    EXPECT_EQ(self.segmentEntropy(pattern),
+                              from_row.segmentEntropy(pattern));
+                }
+            }
+        }
+    }
+}
+
+TEST_F(SegmentModelTest, SegmentAndBlockEntropiesMatchSeparateCalls)
+{
+    for (uint32_t s : {0u, 9u, 40u}) {
+        SegmentModel model(geom, cal, var, 1, s);
+        for (uint8_t pattern : allPatterns()) {
+            std::vector<double> blocks;
+            double h = model.segmentAndBlockEntropies(pattern, blocks);
+            EXPECT_EQ(h, model.segmentEntropy(pattern));
+            EXPECT_EQ(blocks, model.cacheBlockEntropies(pattern));
+        }
+    }
+}
+
 TEST_F(SegmentModelTest, OutOfRangeSegmentPanics)
 {
     auto make_bad = [&]() {
