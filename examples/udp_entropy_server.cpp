@@ -2,8 +2,8 @@
  * @file
  * Standalone UDP entropy server: the sharded EntropyService behind
  * the epoll front end, servable with any UDP client that speaks the
- * 32-byte wire protocol (net/wire.hh) — the bundled load generator
- * (`net_loadgen`) or a few lines of Python.
+ * 32-byte wire protocol (net/wire.hh) — net::SyncClient, e2ebench's
+ * wire client, or a few lines of Python.
  *
  * Backends are deterministic SoftwareTrng generators by default so
  * the example runs anywhere instantly; pass --modules N to stand up

@@ -5,26 +5,32 @@
  * effect for malformed datagrams, the full DENY taxonomy (replay,
  * oversized, throttled, global cap, bulk backpressure), the
  * every-well-formed-request-gets-exactly-one-response accounting
- * under an open-loop burst, and the load generator's open-loop
- * latency under a sender stall.
+ * under an overload burst, and the recv syscalls that batching
+ * saves. The burst tests drive the server through poll() from the
+ * test thread, so their outcome does not depend on timing.
  */
 
 #include <gtest/gtest.h>
 
-#include <pthread.h>
+#include <arpa/inet.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
-#include <chrono>
-#include <csignal>
+#include <array>
+#include <cerrno>
 #include <cstring>
-#include <ctime>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.hh"
 #include "core/fault_injection.hh"
 #include "crypto/sha256.hh"
-#include "net/loadgen.hh"
+#include "net/sync_client.hh"
 #include "net/udp_server.hh"
 #include "service/entropy_service.hh"
 
@@ -47,17 +53,17 @@ serviceConfig(size_t shards)
     return cfg;
 }
 
-/** A server on an ephemeral loopback port with its own run() thread. */
-struct ServerHarness
+/** A server on an ephemeral loopback port with no loop thread: the
+ * test drives every loop step through poll(). */
+struct PolledServer
 {
     std::vector<std::unique_ptr<core::SoftwareTrng>> backends;
     std::vector<core::Trng *> pool;
     std::unique_ptr<EntropyService> service;
     std::unique_ptr<UdpServer> server;
-    std::thread thread;
 
-    explicit ServerHarness(UdpServerConfig cfg = {},
-                           size_t shards = 1, uint64_t seed = 700)
+    explicit PolledServer(UdpServerConfig cfg = {}, size_t shards = 1,
+                          uint64_t seed = 700)
     {
         for (size_t i = 0; i < shards; ++i) {
             backends.push_back(std::make_unique<core::SoftwareTrng>(
@@ -67,6 +73,18 @@ struct ServerHarness
         service =
             std::make_unique<EntropyService>(pool, serviceConfig(shards));
         server = std::make_unique<UdpServer>(*service, cfg);
+    }
+};
+
+/** A server on an ephemeral loopback port with its own run() thread. */
+struct ServerHarness : PolledServer
+{
+    std::thread thread;
+
+    explicit ServerHarness(UdpServerConfig cfg = {},
+                           size_t shards = 1, uint64_t seed = 700)
+        : PolledServer(cfg, shards, seed)
+    {
         thread = std::thread([this] { server->run(); });
     }
 
@@ -81,6 +99,123 @@ struct ServerHarness
             thread.join();
         }
     }
+};
+
+/** Most requests one burst queues before the server drains it. Both
+ * the server's 2 MiB receive buffer and the kernel default hold
+ * this many small datagrams. */
+constexpr size_t kMaxBurst = 128;
+
+/** Responses to bursts, matched to requests by (clientId, nonce). */
+struct BurstResult
+{
+    uint64_t sent = 0;
+    uint64_t received = 0;
+    /** Sent but never answered. */
+    uint64_t lost = 0;
+    /** Responses that matched no outstanding request. */
+    uint64_t unmatched = 0;
+    std::array<uint64_t, kStatusCount> statusCounts{};
+
+    uint64_t okCount() const
+    {
+        return statusCounts[size_t(Status::Ok)] +
+               statusCounts[size_t(Status::Partial)];
+    }
+    uint64_t denyCount() const
+    {
+        uint64_t total = 0;
+        for (size_t s = 0; s < kStatusCount; ++s) {
+            if (isDeny(static_cast<Status>(s)))
+                total += statusCounts[s];
+        }
+        return total;
+    }
+};
+
+/** One loopback UDP socket connected to a PolledServer. */
+class BurstSocket
+{
+  public:
+    explicit BurstSocket(uint16_t port)
+        : fd_(::socket(AF_INET, SOCK_DGRAM, 0))
+    {
+        EXPECT_GE(fd_, 0) << std::strerror(errno);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_port = htons(port);
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                            sizeof(addr)),
+                  0)
+            << std::strerror(errno);
+        int size = 1 << 21;
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &size, sizeof(size));
+    }
+    BurstSocket(const BurstSocket &) = delete;
+    BurstSocket &operator=(const BurstSocket &) = delete;
+    ~BurstSocket() { ::close(fd_); }
+
+    /**
+     * Send @p burst, poll @p server until it has read every
+     * datagram, then collect the responses into @p result. Loopback
+     * queues a datagram before send() returns, so the first poll()
+     * finds the whole burst. A datagram that a full buffer dropped
+     * is never answered: the wait for it times out and it counts as
+     * lost.
+     */
+    void
+    exchange(UdpServer &server, const std::vector<Request> &burst,
+             BurstResult &result)
+    {
+        ASSERT_LE(burst.size(), kMaxBurst);
+        std::set<std::pair<uint64_t, uint64_t>> pending;
+        uint8_t wire[kRequestBytes];
+        for (const Request &request : burst) {
+            encodeRequest(wire, request);
+            ASSERT_EQ(::send(fd_, wire, sizeof(wire), 0),
+                      ssize_t(sizeof(wire)))
+                << std::strerror(errno);
+            pending.emplace(request.clientId, request.nonce);
+        }
+        result.sent += burst.size();
+
+        size_t served = 0;
+        while (served < burst.size()) {
+            size_t n = server.poll(kWaitMs);
+            if (n == 0)
+                break;
+            served += n;
+        }
+
+        // Wait for every pending response, then take whatever else
+        // is already queued: a stray response counts as unmatched.
+        uint8_t buffer[kResponseHeaderBytes + kMaxPayloadBytes];
+        for (;;) {
+            pollfd pfd{fd_, POLLIN, 0};
+            if (::poll(&pfd, 1, pending.empty() ? 0 : kWaitMs) <= 0)
+                break;
+            ssize_t n = ::recv(fd_, buffer, sizeof(buffer), 0);
+            ASSERT_GT(n, 0) << std::strerror(errno);
+            Response response;
+            ASSERT_EQ(parseResponse(buffer, size_t(n), response),
+                      ParseError::None);
+            if (pending.erase({response.clientId, response.nonce}) ==
+                0) {
+                ++result.unmatched;
+                continue;
+            }
+            ++result.received;
+            ++result.statusCounts[size_t(response.status)];
+        }
+        result.lost += pending.size();
+    }
+
+  private:
+    /** Bound on a wait that only a lost datagram makes expire. */
+    static constexpr int kWaitMs = 1000;
+
+    int fd_;
 };
 
 TEST(UdpServer, NetworkStreamMatchesDirectServiceBytes)
@@ -274,27 +409,39 @@ TEST(UdpServer, BulkBackpressureAnswersPartial)
 
 TEST(UdpServer, OverloadAccountingEveryRequestAnswered)
 {
-    // An open-loop burst from many clients against a deliberately
-    // tight server: small table (forces evictions), per-client
-    // pacing, and a low global cap. The contract under overload is
-    // explicit denial — every well-formed request still gets exactly
-    // one response.
+    // A burst from many clients against a deliberately tight server:
+    // small table (forces evictions), per-client pacing, and a low
+    // global cap. The contract under overload is explicit denial —
+    // every well-formed request still gets exactly one response.
+    // Each round is queued whole before the server drains it, so a
+    // lost request is a dropped datagram, never a slow thread.
     UdpServerConfig cfg;
     cfg.table.capacity = 64;
     cfg.table.perClientBytesPerSec = 256.0;
     cfg.globalBytesPerSec = 16.0 * 1024.0;
-    ServerHarness harness(cfg);
+    PolledServer harness(cfg);
+    BurstSocket socket(harness.server->port());
 
-    LoadGenConfig load;
-    load.port = harness.server->port();
-    load.clients = 200;
-    load.requests = 2000;
-    load.ratePerSec = 20000.0;
-    load.requestBytes = 64;
-    load.priorityMix = {0.5, 0.5, 0.0};
-    load.drainTimeoutMs = 2000;
-    LoadGenResult result = runLoadGen(load);
-    harness.stop();
+    constexpr uint64_t kClients = 200;
+    constexpr uint64_t kRequests = 2000;
+    Xoshiro256pp rng(1);
+    std::vector<uint64_t> nonces(kClients, 0);
+    BurstResult result;
+    for (uint64_t queued = 0; queued < kRequests;) {
+        std::vector<Request> burst;
+        for (; burst.size() < kMaxBurst && queued < kRequests;
+             ++queued) {
+            uint64_t slot = rng.next() % kClients;
+            Request request;
+            // Half interactive, half standard.
+            request.priority = rng.uniform() < 0.5 ? 0 : 1;
+            request.clientId = 1 + slot;
+            request.nonce = ++nonces[slot];
+            request.bytes = 64;
+            burst.push_back(request);
+        }
+        socket.exchange(*harness.server, burst, result);
+    }
 
     EXPECT_EQ(result.sent, 2000u);
     EXPECT_EQ(result.lost, 0u);
@@ -326,49 +473,35 @@ TEST(UdpServer, OverloadAccountingEveryRequestAnswered)
                   stats.responses[size_t(Status::DenyService)]);
 }
 
-/** SIGUSR1 handler: stall the interrupted thread for 60 ms. */
-void
-stallSender(int)
+TEST(UdpServer, BatchingCutsRecvSyscalls)
 {
-    timespec left{0, 60 * 1000 * 1000};
-    while (nanosleep(&left, &left) != 0) {
+    // The same burst, queued whole before one drain: recvmmsg takes
+    // one datagram per call at batch 1 and 64 at batch 64 (two full
+    // calls; the final EAGAIN is not counted).
+    for (unsigned batch : {1u, 64u}) {
+        UdpServerConfig cfg;
+        cfg.batchMessages = batch;
+        PolledServer harness(cfg);
+        BurstSocket socket(harness.server->port());
+        std::vector<Request> burst(kMaxBurst);
+        for (size_t i = 0; i < burst.size(); ++i) {
+            burst[i].clientId = 1;
+            burst[i].nonce = i + 1;
+            burst[i].bytes = 32;
+        }
+        BurstResult result;
+        socket.exchange(*harness.server, burst, result);
+
+        EXPECT_EQ(result.received, kMaxBurst) << "batch " << batch;
+        EXPECT_EQ(result.lost, 0u) << "batch " << batch;
+        EXPECT_EQ(result.unmatched, 0u) << "batch " << batch;
+        const UdpServerStats &stats = harness.server->stats();
+        EXPECT_EQ(stats.responsesSent, kMaxBurst) << "batch " << batch;
+        if (batch == 1)
+            EXPECT_GE(stats.recvCalls, kMaxBurst);
+        else
+            EXPECT_LE(stats.recvCalls, 3u);
     }
-}
-
-TEST(LoadGen, SenderStallCountsTowardLatency)
-{
-    // Open-loop latency runs from each request's scheduled arrival.
-    // A signal handler stalls the sending thread for 60 ms mid-run:
-    // the ~600 requests that fell due meanwhile go out late, and
-    // their latency must include that wait. Stamped at send time,
-    // the tail would stay at the loopback round trip and hide the
-    // stall (coordinated omission).
-    ServerHarness harness;
-    struct sigaction stall = {};
-    stall.sa_handler = stallSender;
-    struct sigaction previous = {};
-    ASSERT_EQ(sigaction(SIGUSR1, &stall, &previous), 0);
-
-    pthread_t sender = pthread_self();
-    std::thread staller([sender] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-        pthread_kill(sender, SIGUSR1);
-    });
-
-    LoadGenConfig load;
-    load.port = harness.server->port();
-    load.clients = 16;
-    load.requests = 2000;
-    load.ratePerSec = 10000.0; // 200 ms of arrivals
-    load.requestBytes = 32;
-    LoadGenResult result = runLoadGen(load);
-    staller.join();
-    sigaction(SIGUSR1, &previous, nullptr);
-
-    EXPECT_EQ(result.lost, 0u);
-    EXPECT_EQ(result.received, result.sent);
-    // The top 1% (20 requests) all waited out most of the stall.
-    EXPECT_GE(result.p99Ns, 30'000'000u);
 }
 
 } // namespace

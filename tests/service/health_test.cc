@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -618,10 +619,14 @@ TEST(ServiceHealth, ReadOnlyAccessorsRaceObserveWithoutLock)
     // mutex. Both now read an immutable bankCount_ set in the
     // constructor. Hammer the accessors against a writer mutating
     // the guarded state; TSan (CI) verifies racelessness, and the
-    // values must stay exact throughout.
+    // values must stay exact throughout. The writer starts only after
+    // the reader's first full pass, so the two always overlap.
     HealthMonitor monitor(3, testHealthConfig());
+    std::atomic<bool> reader_ready{false};
     std::atomic<bool> done{false};
     std::thread writer([&]() {
+        while (!reader_ready.load(std::memory_order_acquire))
+            std::this_thread::yield();
         std::vector<uint8_t> good = goodWindow(77);
         for (int i = 0; i < 400; ++i) {
             monitor.observe(i % 3, good.data(), good.size());
@@ -630,14 +635,15 @@ TEST(ServiceHealth, ReadOnlyAccessorsRaceObserveWithoutLock)
         done.store(true, std::memory_order_release);
     });
     uint64_t checks = 0;
-    while (!done.load(std::memory_order_acquire)) {
+    do {
         ASSERT_EQ(monitor.banks(), 3u);
         // The pre-lock bounds asserts ride the same immutable count.
         monitor.servable(2);
         monitor.state(0);
         monitor.score(1);
         ++checks;
-    }
+        reader_ready.store(true, std::memory_order_release);
+    } while (!done.load(std::memory_order_acquire));
     writer.join();
     EXPECT_GT(checks, 0u);
     EXPECT_EQ(monitor.banks(), 3u);
